@@ -9,9 +9,7 @@ from __future__ import annotations
 
 import argparse
 import json
-import os
 import sys
-import tempfile
 from pathlib import Path
 
 from . import admin as admin_mod
@@ -19,7 +17,7 @@ from . import bench as bench_mod
 from . import engine as engine_mod
 from . import hl, service, synth
 from .errors import PolicyError, RebacError
-from .graph import AuthorizationGraph, load_graph_file, save_graph
+from .graph import AuthorizationGraph, load_graph_file, save_graph_file
 from .policy import PolicyStore, attach_policy, guard_from_json, load_policy_file, validate
 
 
@@ -97,19 +95,6 @@ def _cmd_admin_list(args) -> int:
     return 0
 
 
-def _save_graph_atomically(graph: AuthorizationGraph, path: str) -> None:
-    directory = os.path.dirname(os.path.abspath(path))
-    fd, tmp = tempfile.mkstemp(dir=directory, suffix=".tmp")
-    try:
-        with os.fdopen(fd, "w", encoding="utf-8") as fh:
-            fh.write(save_graph(graph))
-        os.replace(tmp, path)
-    except BaseException:
-        if os.path.exists(tmp):
-            os.unlink(tmp)
-        raise
-
-
 def _cmd_admin_exec(args) -> int:
     graph, store = _load_system(args)
     binding = {"user": args.user, "patient": args.patient}
@@ -122,7 +107,7 @@ def _cmd_admin_exec(args) -> int:
     report = admin_mod.execute_action(store, graph, args.action, binding)
     for op, rel, src, dst in report.applied:
         print(f"{op} {rel} {src} {dst}")
-    _save_graph_atomically(graph, args.save or args.graph)
+    save_graph_file(graph, args.save or args.graph)
     return 0
 
 

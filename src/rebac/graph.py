@@ -1,16 +1,16 @@
-"""Authorization graph: typed vertices, labelled directed edges, providers.
+"""Authorization graph: typed vertices and labelled directed edges.
 
 The protection state is an edge-labelled directed graph over users,
-patients, resources and abstract entities.  Edges are served by relation
-providers falling into three categories:
+patients, resources and abstract entities.  Every relation falls into
+one of three categories:
 
 * ``user-managed`` -- articulated by end users (interpersonal records),
-* ``system-induced`` -- computed from backing data (e.g. resource
-  ownership); read-only to every mutation API,
-* ``access-control`` -- pure protection state, mutable only through
+* ``system-induced`` -- loaded from backing data (e.g. the policy's
+  resource ownership table); read-only to every mutation API,
+* ``access-control`` -- pure protection state, changed only through
   administrative actions and the administrative edit operations.
 
-Queries answer over the union of all providers and are indexed in both
+Edges of all three categories live in one index, keyed in both
 directions, so ``out``, ``in`` and ``has_edge`` are dictionary lookups.
 
 Concurrency: many concurrent readers, one exclusive writer.  Every
@@ -21,7 +21,9 @@ intermediate.
 
 from __future__ import annotations
 
+import os
 import re
+import tempfile
 import threading
 from typing import Iterable, Iterator, Mapping
 
@@ -151,122 +153,16 @@ class _WriteTransaction:
         return False
 
 
-class RelationProvider:
-    """One source of edges; the graph answers over the union of providers."""
-
-    category: str
-    mutable = False
-
-    def out(self, v: str, rel: str) -> frozenset[str] | set[str]:
-        raise NotImplementedError
-
-    def inc(self, v: str, rel: str) -> frozenset[str] | set[str]:
-        raise NotImplementedError
-
-    def relations(self) -> frozenset[str]:
-        """Relation names this provider may serve edges for."""
-        raise NotImplementedError
-
-    def edges(self) -> Iterator[Edge]:
-        raise NotImplementedError
-
-
-class AdjacencyProvider(RelationProvider):
-    """Mutable edge store indexed forward and reverse by (vertex, relation)."""
-
-    mutable = True
-
-    def __init__(self, category: str):
-        self.category = category
-        self._fwd: dict[tuple[str, str], set[str]] = {}
-        self._rev: dict[tuple[str, str], set[str]] = {}
-        self._rels: set[str] = set()
-        self._count = 0
-
-    def out(self, v, rel):
-        return self._fwd.get((v, rel), _EMPTY)
-
-    def inc(self, v, rel):
-        return self._rev.get((v, rel), _EMPTY)
-
-    def relations(self):
-        return frozenset(self._rels)
-
-    def edges(self):
-        for (src, rel), dsts in self._fwd.items():
-            for dst in dsts:
-                yield (src, rel, dst)
-
-    def __len__(self):
-        return self._count
-
-    def has(self, s, rel, d):
-        return d in self._fwd.get((s, rel), _EMPTY)
-
-    def add(self, s, rel, d):
-        if self.has(s, rel, d):
-            raise AddExistingEdge(f"edge ({s}, {rel}, {d}) already present")
-        self._fwd.setdefault((s, rel), set()).add(d)
-        self._rev.setdefault((d, rel), set()).add(s)
-        self._rels.add(rel)
-        self._count += 1
-
-    def remove(self, s, rel, d):
-        if not self.has(s, rel, d):
-            raise DeleteMissingEdge(f"edge ({s}, {rel}, {d}) not present")
-        self._fwd[(s, rel)].discard(d)
-        self._rev[(d, rel)].discard(s)
-        self._count -= 1
-
-
-class OwnerTableProvider(RelationProvider):
-    """System-induced ``owner`` edges computed from a resource->owner table.
-
-    The provider is a pure function of the table snapshot taken at
-    construction; it never stores edges of its own.
-    """
-
-    category = SYSTEM_INDUCED
-    relation = "owner"
-
-    def __init__(self, owners: Mapping[str, Iterable[str]]):
-        self._fwd = {r: frozenset(os) for r, os in owners.items()}
-        rev: dict[str, set[str]] = {}
-        for resource, os in self._fwd.items():
-            for owner in os:
-                rev.setdefault(owner, set()).add(resource)
-        self._rev = {o: frozenset(rs) for o, rs in rev.items()}
-
-    def out(self, v, rel):
-        if rel != self.relation:
-            return _EMPTY
-        return self._fwd.get(v, _EMPTY)
-
-    def inc(self, v, rel):
-        if rel != self.relation:
-            return _EMPTY
-        return self._rev.get(v, _EMPTY)
-
-    def relations(self):
-        return frozenset({self.relation})
-
-    def edges(self):
-        for resource, os in self._fwd.items():
-            for owner in os:
-                yield (resource, self.relation, owner)
-
-
 class AuthorizationGraph:
-    """Composed protection state: vertices plus the union of providers."""
+    """Protection state: typed vertices, categorized relations and one
+    edge index over every category, keyed forward and reverse by
+    (vertex, relation)."""
 
     def __init__(self):
         self._vertices: dict[str, str] = {}
         self._relations: dict[str, str] = {}
-        self._stores: dict[str, AdjacencyProvider] = {
-            USER_MANAGED: AdjacencyProvider(USER_MANAGED),
-            ACCESS_CONTROL: AdjacencyProvider(ACCESS_CONTROL),
-        }
-        self._providers: list[RelationProvider] = list(self._stores.values())
+        self._fwd: dict[tuple[str, str], set[str]] = {}
+        self._rev: dict[tuple[str, str], set[str]] = {}
         self._lock = _RWLock()
 
     # --- locking ---
@@ -335,13 +231,6 @@ class AuthorizationGraph:
         except KeyError:
             raise UnknownRelation(name) from None
 
-    def add_provider(self, provider: RelationProvider) -> None:
-        """Attach a computed provider (e.g. the owner table) at startup."""
-        self._require_write()
-        for rel in provider.relations():
-            self.ensure_relation(rel, provider.category)
-        self._providers.append(provider)
-
     # --- queries ---
 
     def _check_query(self, v: str, rel: str) -> None:
@@ -351,21 +240,11 @@ class AuthorizationGraph:
             raise UnknownRelation(rel)
 
     def _out(self, v: str, rel: str):
-        """No-copy union over providers; caller must hold a read section."""
-        result = None
-        for p in self._providers:
-            s = p.out(v, rel)
-            if s:
-                result = s if result is None else result | s
-        return result if result is not None else _EMPTY
+        """No-copy neighbor set; caller must hold a read section."""
+        return self._fwd.get((v, rel), _EMPTY)
 
     def _in(self, v: str, rel: str):
-        result = None
-        for p in self._providers:
-            s = p.inc(v, rel)
-            if s:
-                result = s if result is None else result | s
-        return result if result is not None else _EMPTY
+        return self._rev.get((v, rel), _EMPTY)
 
     def out_neighbors(self, v: str, rel: str) -> set[str]:
         with self.read():
@@ -382,40 +261,58 @@ class AuthorizationGraph:
             self._check_query(s, rel)
             return d in self._out(s, rel)
 
-    def edge_set(self) -> frozenset[Edge]:
-        """Every edge currently observable, across all providers."""
-        with self.read():
-            out: set[Edge] = set()
-            for p in self._providers:
-                out.update(p.edges())
-            return frozenset(out)
+    def _edges(self) -> Iterator[Edge]:
+        for (src, rel), dsts in self._fwd.items():
+            for dst in dsts:
+                yield (src, rel, dst)
 
-    def edge_count(self) -> int:
-        return len(self.edge_set())
+    def edge_set(self) -> frozenset[Edge]:
+        """Every edge currently observable, in every relation category."""
+        with self.read():
+            return frozenset(self._edges())
 
     # --- mutation ---
 
-    def _mutable_store(self, rel: str) -> AdjacencyProvider:
-        category = self.relation_category(rel)
-        if category == SYSTEM_INDUCED:
+    def _require_vertices(self, *vids: str) -> None:
+        for v in vids:
+            if v not in self._vertices:
+                raise UnknownVertex(v)
+
+    def _require_edge_update(self, s: str, rel: str, d: str) -> None:
+        self._require_write()
+        if self.relation_category(rel) == SYSTEM_INDUCED:
             raise ReadOnlyRelation(rel)
-        return self._stores[category]
+        self._require_vertices(s, d)
+
+    def _link(self, s: str, rel: str, d: str) -> None:
+        self._fwd.setdefault((s, rel), set()).add(d)
+        self._rev.setdefault((d, rel), set()).add(s)
 
     def add_edge(self, s: str, rel: str, d: str) -> None:
-        self._require_write()
-        store = self._mutable_store(rel)
-        for v in (s, d):
-            if v not in self._vertices:
-                raise UnknownVertex(v)
-        store.add(s, rel, d)
+        self._require_edge_update(s, rel, d)
+        if d in self._out(s, rel):
+            raise AddExistingEdge(f"edge ({s}, {rel}, {d}) already present")
+        self._link(s, rel, d)
 
     def del_edge(self, s: str, rel: str, d: str) -> None:
+        self._require_edge_update(s, rel, d)
+        if d not in self._out(s, rel):
+            raise DeleteMissingEdge(f"edge ({s}, {rel}, {d}) not present")
+        self._fwd[(s, rel)].discard(d)
+        self._rev[(d, rel)].discard(s)
+
+    def add_owners(self, owners: Mapping[str, Iterable[str]]) -> None:
+        """Load a resource->owners table as system-induced ``owner`` edges.
+
+        Loading an edge that is already present changes nothing, so the
+        same table may be loaded twice.
+        """
         self._require_write()
-        store = self._mutable_store(rel)
-        for v in (s, d):
-            if v not in self._vertices:
-                raise UnknownVertex(v)
-        store.remove(s, rel, d)
+        self.ensure_relation("owner", SYSTEM_INDUCED)
+        for resource, owner_ids in owners.items():
+            for owner in owner_ids:
+                self._require_vertices(resource, owner)
+                self._link(resource, "owner", owner)
 
 
 # --- edge-list text format ---
@@ -427,8 +324,8 @@ class AuthorizationGraph:
 #
 # Relation declarations precede the edges that use them; fields are
 # whitespace-separated and identifiers carry no whitespace.  The format
-# persists the stored (user-managed / access-control) relations only;
-# system-induced providers are runtime attachments rebuilt from policy.
+# persists the user-managed and access-control relations only; the
+# system-induced ones are reloaded from the policy's owner table.
 
 
 def load_graph(text: str) -> AuthorizationGraph:
@@ -471,9 +368,7 @@ def save_graph(g: AuthorizationGraph) -> str:
                 lines.append(f"R {name} {category}")
         for vid, kind in sorted(g._vertices.items()):
             lines.append(f"V {vid} {kind}")
-        stored: list[Edge] = []
-        for store in g._stores.values():
-            stored.extend(store.edges())
+        stored = (e for e in g._edges() if g._relations[e[1]] != SYSTEM_INDUCED)
         for s, rel, d in sorted(stored):
             lines.append(f"E {s} {rel} {d}")
     return "\n".join(lines) + "\n"
@@ -485,5 +380,15 @@ def load_graph_file(path) -> AuthorizationGraph:
 
 
 def save_graph_file(g: AuthorizationGraph, path) -> None:
-    with open(path, "w", encoding="utf-8") as fh:
-        fh.write(save_graph(g))
+    """Atomically replace ``path`` with the saved graph: write a temp file
+    in the same directory, then rename it over the target."""
+    directory = os.path.dirname(os.path.abspath(path))
+    fd, tmp = tempfile.mkstemp(dir=directory, suffix=".tmp")
+    try:
+        with os.fdopen(fd, "w", encoding="utf-8") as fh:
+            fh.write(save_graph(g))
+        os.replace(tmp, path)
+    except BaseException:
+        if os.path.exists(tmp):
+            os.unlink(tmp)
+        raise

@@ -142,6 +142,11 @@ def validate(formula: Formula) -> None:
 
 _TOKEN = re.compile(r"\s*(?:([A-Za-z][A-Za-z0-9_-]*)|([@<>\-!&|()]))")
 
+# Deepest nesting of unary operators and parentheses the parser accepts.
+# Corpus formulas nest about six levels; the cap keeps the recursive
+# parser, validator and evaluator well inside Python's recursion limit.
+MAX_NESTING = 100
+
 
 def _tokenize(text: str) -> list[tuple[str, str, int]]:
     tokens = []
@@ -166,6 +171,7 @@ class _Parser:
     def __init__(self, text: str):
         self._tokens = _tokenize(text)
         self._i = 0
+        self._depth = 0
 
     def _peek(self):
         return self._tokens[self._i]
@@ -203,7 +209,16 @@ class _Parser:
         return node
 
     def _unary(self) -> Node:
-        kind, _, _ = self._peek()
+        kind, _, pos = self._peek()
+        if self._depth >= MAX_NESTING:
+            raise ParseError(f"formula nests deeper than {MAX_NESTING} levels", pos)
+        self._depth += 1
+        try:
+            return self._nested(kind)
+        finally:
+            self._depth -= 1
+
+    def _nested(self, kind: str) -> Node:
         if kind == "!":
             self._next()
             return Not(self._unary())

@@ -24,8 +24,7 @@ The whole policy lives in one JSON document::
 
 ``load_policy`` builds the store and records recoverable problems;
 ``validate`` returns the full diagnostics list, empty iff the store is
-sound.  The store is immutable after load; hot reload swaps the whole
-store atomically.
+sound.  The store is immutable after load.
 """
 
 from __future__ import annotations
@@ -37,12 +36,7 @@ from typing import AbstractSet, Iterable, Mapping, TYPE_CHECKING
 from . import hl
 from .admin import PRIMARY_PARTICIPANTS, AdminActionDecl, Update
 from .errors import PolicyError, RebacError
-from .graph import (
-    ACCESS_CONTROL,
-    RELATION_CATEGORIES,
-    AuthorizationGraph,
-    OwnerTableProvider,
-)
+from .graph import ACCESS_CONTROL, RELATION_CATEGORIES, AuthorizationGraph
 
 if TYPE_CHECKING:
     from .rbac import RbacTables
@@ -358,8 +352,9 @@ def validate(store: PolicyStore) -> list[Diagnostic]:
 
 
 def attach_policy(graph: AuthorizationGraph, store: PolicyStore) -> None:
-    """Bind a loaded policy to a graph: declare its relations and attach
-    the owner table as a system-induced provider.
+    """Bind a loaded policy to a graph: declare its relations and load the
+    owner table into the graph's edge index as system-induced ``owner``
+    edges.
 
     Resources and owners named by the table that are absent from the graph
     are added (kinds ``resource`` / ``patient``).
@@ -374,4 +369,4 @@ def attach_policy(graph: AuthorizationGraph, store: PolicyStore) -> None:
                 for owner in owner_ids:
                     if not graph.has_vertex(owner):
                         graph.add_vertex(owner, "patient")
-            graph.add_provider(OwnerTableProvider(store.owners))
+            graph.add_owners(store.owners)

@@ -11,8 +11,11 @@ server-side ``latency_us``::
 
 Supported ops: ``check``, ``filter``, ``match``, ``admin.enabled``,
 ``admin.exec``.  Results mirror the corresponding library calls exactly.
-A malformed line yields a ``parse`` error response and the connection
-stays open.  Connections are handled concurrently; graph reads run in
+A malformed line (including JSON nested too deeply to decode) yields a
+``parse`` error response and the connection stays open.  Any other
+unexpected failure while serving a request is logged and yields an
+``internal`` error response, so one bad request never ends the
+connection.  Connections are handled concurrently; graph reads run in
 parallel while ``admin.exec`` serializes through the graph's write
 transaction.
 """
@@ -20,6 +23,7 @@ transaction.
 from __future__ import annotations
 
 import json
+import logging
 import socket
 import socketserver
 import threading
@@ -32,6 +36,8 @@ from .graph import AuthorizationGraph
 from .policy import PolicyStore, guard_from_json
 from .rbac import RbacTables
 
+_log = logging.getLogger(__name__)
+
 
 class _Handler(socketserver.StreamRequestHandler):
     def handle(self):
@@ -43,7 +49,7 @@ class _Handler(socketserver.StreamRequestHandler):
             start = time.perf_counter()
             try:
                 request = json.loads(line.decode("utf-8"))
-            except (UnicodeDecodeError, json.JSONDecodeError) as exc:
+            except (UnicodeDecodeError, json.JSONDecodeError, RecursionError) as exc:
                 self._reply({"ok": False, "error": {"code": "parse", "message": str(exc)}},
                             start)
                 continue
@@ -55,6 +61,10 @@ class _Handler(socketserver.StreamRequestHandler):
             except (KeyError, TypeError, ValueError) as exc:
                 response = {"ok": False,
                             "error": {"code": "bad_request", "message": repr(exc)}}
+            except Exception as exc:
+                _log.exception("unexpected error in dispatch")
+                response = {"ok": False,
+                            "error": {"code": "internal", "message": repr(exc)}}
             self._reply(response, start)
 
     def _reply(self, response: dict, start: float) -> None:

@@ -1,4 +1,7 @@
 import copy
+import sys
+import threading
+import time
 
 import pytest
 
@@ -206,6 +209,58 @@ class TestAtomicity:
         with pytest.raises(PolicyError):
             execute_action(bad_store, graph, "Batch", BATCH_BINDING)
         assert graph.edge_set() == snapshot
+
+
+def test_admin_writes_never_torn_for_concurrent_readers():
+    # one writer alternates the Batch action with a transaction restoring
+    # its three edges; readers see the whole pre- or the whole post-state
+    graph, store = build_batch_system()
+    triples = (("p", "ac-a", "h"), ("u", "ac-b", "p"), ("h", "ac-c", "u"))
+    pre, post = (False, True, False), (True, False, True)
+    stop = threading.Event()
+    seen, errors, rounds = [], [], [0]
+
+    def writer():
+        try:
+            while not stop.is_set():
+                execute_action(store, graph, "Batch", BATCH_BINDING)
+                with graph.write():
+                    graph.del_edge("p", "ac-a", "h")
+                    graph.add_edge("u", "ac-b", "p")
+                    graph.del_edge("h", "ac-c", "u")
+                rounds[0] += 1
+        except Exception as exc:  # surfaced by the assertions below
+            errors.append(exc)
+
+    def reader():
+        try:
+            while not stop.is_set():
+                with graph.read():
+                    state = tuple(graph.has_edge(*t) for t in triples)
+                seen.append(state)
+                if state not in (pre, post):
+                    return
+        except Exception as exc:
+            errors.append(exc)
+
+    threads = [threading.Thread(target=writer)] + \
+        [threading.Thread(target=reader) for _ in range(2)]
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-5)  # interleave threads far more often than by default
+    try:
+        for t in threads:
+            t.start()
+        time.sleep(0.5)
+        stop.set()
+        for t in threads:
+            t.join(timeout=10)
+    finally:
+        stop.set()
+        sys.setswitchinterval(interval)
+    assert not any(t.is_alive() for t in threads)
+    assert errors == []
+    assert rounds[0] > 0 and seen
+    assert set(seen) <= {pre, post}
 
 
 class TestApplicability:

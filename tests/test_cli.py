@@ -1,4 +1,5 @@
 import json
+import os
 import socket
 import subprocess
 import sys
@@ -6,6 +7,7 @@ import time
 
 import pytest
 
+import rebac
 from rebac.cli import main
 
 from .conftest import REFERRAL_GRAPH, REFERRAL_POLICY
@@ -153,6 +155,15 @@ class TestSynthAndBench:
         out = capsys.readouterr().out
         assert "ok good" in out and "error bad" in out
 
+    def test_fmt_check_reports_deep_nesting_as_error(self, tmp_path, capsys):
+        corpus = [{"id": "bangs", "vars": [], "text": "!" * 5000 + "true"},
+                  {"id": "parens", "vars": [], "text": "(" * 3000 + "true" + ")" * 3000}]
+        path = tmp_path / "corpus.json"
+        path.write_text(json.dumps(corpus), encoding="utf-8")
+        assert main(["fmt", "check", str(path)]) == 1
+        lines = capsys.readouterr().out.splitlines()
+        assert [line.split(":")[0] for line in lines] == ["error bangs", "error parens"]
+
     def test_bench_writes_csv(self, tmp_path, capsys):
         out = tmp_path / "bench.csv"
         code = main(["bench", "--config", "ReAllLzLib", "--seed", "6",
@@ -172,12 +183,16 @@ def _free_port() -> int:
 
 def test_serve_subcommand_answers_requests(fixture_dir):
     port = _free_port()
+    # the child imports the same rebac package as this process
+    src = os.path.dirname(os.path.dirname(rebac.__file__))
+    env = {**os.environ,
+           "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
     proc = subprocess.Popen(
         [sys.executable, "-m", "rebac.cli", "serve",
          "--graph", str(fixture_dir / "graph.txt"),
          "--policy", str(fixture_dir / "policy.json"),
          "--listen", f"127.0.0.1:{port}"],
-        stdout=subprocess.PIPE, stderr=subprocess.PIPE)
+        stdout=subprocess.PIPE, stderr=subprocess.PIPE, env=env)
     try:
         reply = None
         for _ in range(50):

@@ -15,7 +15,7 @@ from rebac.engine import (
     filter_collection,
 )
 from rebac.errors import EvaluationError, UnknownVertex
-from rebac.graph import ACCESS_CONTROL, AuthorizationGraph, OwnerTableProvider
+from rebac.graph import ACCESS_CONTROL, AuthorizationGraph
 from rebac.policy import Guard, PolicyStore, load_policy
 from rebac.rbac import RbacTables, empty_tables
 
@@ -41,7 +41,7 @@ def treating_clinician_system():
         g.add_vertex("d", "user")
         g.add_vertex("x", "user")
         g.add_edge("p", "family-doctor", "d")
-        g.add_provider(OwnerTableProvider({"rec": ("p",)}))
+        g.add_owners({"rec": ("p",)})
     store = load_policy({
         "formulas": [{
             "id": "treating", "vars": ["resource", "requestor"],
@@ -292,7 +292,7 @@ class TestFilterCollection:
         with g.write():
             g.add_vertex("rec2", "resource")
             g.add_vertex("p2", "patient")
-            g.add_provider(OwnerTableProvider({"rec2": ("p2",)}))
+            g.add_owners({"rec2": ("p2",)})
         cfg = EngineConfig(mode="rebac-only")
         guard = Guard.one_of("view-record")
         allowed = filter_collection(store, g, empty_tables(), "d", guard,

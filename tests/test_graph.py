@@ -1,3 +1,4 @@
+import os
 import random
 import threading
 import time
@@ -16,13 +17,14 @@ from rebac.errors import (
     UnknownRelation,
     UnknownVertex,
 )
+from rebac import graph as graph_mod
 from rebac.graph import (
     ACCESS_CONTROL,
     USER_MANAGED,
     AuthorizationGraph,
-    OwnerTableProvider,
     load_graph,
     save_graph,
+    save_graph_file,
 )
 
 
@@ -128,7 +130,7 @@ class TestOwnerProvider:
         g = tiny_graph()
         with g.write():
             g.add_vertex("rec", "resource")
-            g.add_provider(OwnerTableProvider({"rec": ("p",)}))
+            g.add_owners({"rec": ("p",)})
         return g
 
     def test_computed_edges_queryable(self):
@@ -154,6 +156,22 @@ class TestOwnerProvider:
             g.del_edge("p", "gp", "d2")
         after = {e for e in g.edge_set() if e[1] == "owner"}
         assert before == after == {("rec", "owner", "p")}
+
+    def test_add_owners_is_idempotent(self):
+        g = self.build()
+        before = g.edge_set()
+        with g.write():
+            g.add_owners({"rec": ("p",)})
+        assert g.edge_set() == before
+
+    def test_add_owners_requires_write_and_known_vertices(self):
+        g = self.build()
+        with pytest.raises(TransactionRequired):
+            g.add_owners({"rec": ("p",)})
+        with g.write(), pytest.raises(UnknownVertex):
+            g.add_owners({"rec": ("ghost",)})
+        with g.write(), pytest.raises(UnknownVertex):
+            g.add_owners({"ghost": ("p",)})
 
 
 class TestEdgeListFormat:
@@ -219,11 +237,52 @@ class TestEdgeListFormat:
         g = tiny_graph()
         with g.write():
             g.add_vertex("rec", "resource")
-            g.add_provider(OwnerTableProvider({"rec": ("p",)}))
+            g.add_owners({"rec": ("p",)})
         text = save_graph(g)
         assert "owner" not in text
         reloaded = load_graph(text)
         assert ("rec", "owner", "p") not in reloaded.edge_set()
+
+
+class TestSaveGraphFile:
+    @pytest.mark.parametrize("failing", ["write", "replace"])
+    def test_failed_save_leaves_original_untouched(self, tmp_path, monkeypatch, failing):
+        path = tmp_path / "graph.txt"
+        original = b"R gp user-managed\nV p patient\n"
+        path.write_bytes(original)
+        real_fdopen = os.fdopen
+
+        class HalfWriter:
+            """Writes half of the text, then fails like a full disk."""
+
+            def __init__(self, fh):
+                self._fh = fh
+
+            def __enter__(self):
+                return self
+
+            def __exit__(self, *exc):
+                self._fh.close()
+                return False
+
+            def write(self, text):
+                self._fh.write(text[: len(text) // 2])
+                self._fh.flush()
+                raise OSError("no space left on device")
+
+        def fail(*args, **kwargs):
+            raise OSError("rename failed")
+
+        if failing == "write":
+            monkeypatch.setattr(graph_mod.os, "fdopen",
+                                lambda *a, **k: HalfWriter(real_fdopen(*a, **k)))
+        else:
+            monkeypatch.setattr(graph_mod.os, "replace", fail)
+        with pytest.raises(OSError):
+            save_graph_file(tiny_graph(), path)
+        monkeypatch.undo()
+        assert path.read_bytes() == original
+        assert list(tmp_path.glob("*.tmp")) == []
 
 
 @given(st.sets(st.tuples(st.sampled_from("abcde"), st.sampled_from(["r0", "r1"]),

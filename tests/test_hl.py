@@ -81,6 +81,16 @@ class TestParse:
         assert f.body == At("resource", Diamond("family-doctor", False, Var("requestor")))
 
 
+class TestNestingLimit:
+    def test_nesting_at_the_limit_parses(self):
+        text = "!" * (hl.MAX_NESTING - 1) + "true"
+        assert hl.unparse(hl.parse(text, [])) == text
+
+    def test_one_level_past_the_limit_is_a_parse_error(self):
+        with pytest.raises(ParseError, match="nests deeper"):
+            hl.parse("!" * hl.MAX_NESTING + "true", [])
+
+
 class TestUnparse:
     def test_round_trip_is_identity_on_text(self):
         texts = [

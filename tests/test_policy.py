@@ -113,6 +113,15 @@ class TestLoadAndValidate:
         store = load_policy({"formulas": [{"id": "f", "vars": ["x"], "text": "<r> x"}]})
         assert [d.code for d in validate(store)] == ["invalid-formula"]
 
+    @pytest.mark.parametrize("text", ["!" * 5000 + "true",
+                                      "(" * 3000 + "true" + ")" * 3000],
+                             ids=["bangs", "parens"])
+    def test_deeply_nested_formula_is_diagnosed(self, text):
+        store = load_policy({"formulas": [{"id": "f", "vars": [], "text": text}]})
+        issues = validate(store)
+        assert [d.code for d in issues] == ["invalid-formula"]
+        assert "nests deeper" in issues[0].message
+
     def test_matching_rule_formula_must_be_binary(self):
         store = load_policy({
             "formulas": [{"id": "f", "vars": ["x"], "text": "@x x"}],

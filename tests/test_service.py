@@ -84,6 +84,27 @@ class TestProtocol:
             good = c.call({"op": "match", "resource": "rec1", "user": "d1"})
             assert good["ok"] is True
 
+    def test_deeply_nested_line_keeps_connection_open(self, server):
+        with client_for(server) as c:
+            bad = c.call_raw(b"[" * 100_000)
+            assert bad["ok"] is False
+            assert bad["error"]["code"] == "parse"
+            good = c.call({"op": "match", "resource": "rec1", "user": "d1"})
+            assert good["ok"] is True
+
+    def test_unexpected_failure_is_internal_error(self, server, monkeypatch):
+        def broken(request):
+            raise RuntimeError("boom")
+
+        monkeypatch.setattr(server, "dispatch", broken)
+        with client_for(server) as c:
+            reply = c.call({"op": "match", "resource": "rec1", "user": "d1"})
+            assert reply["ok"] is False
+            assert reply["error"]["code"] == "internal"
+            monkeypatch.undo()
+            good = c.call({"op": "match", "resource": "rec1", "user": "d1"})
+            assert good["ok"] is True
+
     def test_unknown_op(self, server):
         with client_for(server) as c:
             reply = c.call({"op": "reticulate"})
