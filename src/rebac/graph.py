@@ -13,10 +13,10 @@ one of three categories:
 Edges of all three categories live in one index, keyed in both
 directions, so ``out``, ``in`` and ``has_edge`` are dictionary lookups.
 
-Concurrency: many concurrent readers, one exclusive writer.  Every
-mutation must run inside ``with graph.write(): ...``; readers either see
-the pre-write state or block until the writer commits, never a torn
-intermediate.
+Concurrency: one reentrant mutex; readers take it in turn.  Every
+mutation must run inside ``with graph.write(): ...``, which holds the
+same mutex, so a read section sees the state before or after a write
+transaction, never a torn intermediate.
 """
 
 from __future__ import annotations
@@ -25,6 +25,7 @@ import os
 import re
 import tempfile
 import threading
+from contextlib import contextmanager
 from typing import Iterable, Iterator, Mapping
 
 from .errors import (
@@ -52,107 +53,6 @@ Edge = tuple[str, str, str]  # (src, relation, dst)
 _EMPTY: frozenset[str] = frozenset()
 
 
-class _RWLock:
-    """Reentrant readers-writer lock with writer preference.
-
-    A thread holding the write lock may freely take read sections; read
-    sections nest.  Upgrading (read -> write) is rejected because it
-    deadlocks against other readers.
-    """
-
-    def __init__(self):
-        self._mutex = threading.Lock()
-        self._cond = threading.Condition(self._mutex)
-        self._active_readers = 0
-        self._waiting_writers = 0
-        self._writer: int | None = None
-        self._writer_depth = 0
-        self._local = threading.local()
-
-    def _read_depth(self) -> int:
-        return getattr(self._local, "depth", 0)
-
-    def acquire_read(self) -> None:
-        me = threading.get_ident()
-        if self._writer == me or self._read_depth() > 0:
-            self._local.depth = self._read_depth() + 1
-            return
-        with self._cond:
-            while self._writer is not None or self._waiting_writers:
-                self._cond.wait()
-            self._active_readers += 1
-        self._local.depth = 1
-
-    def release_read(self) -> None:
-        depth = self._read_depth() - 1
-        self._local.depth = depth
-        if depth > 0 or self._writer == threading.get_ident():
-            return
-        with self._cond:
-            self._active_readers -= 1
-            if self._active_readers == 0:
-                self._cond.notify_all()
-
-    def acquire_write(self) -> None:
-        me = threading.get_ident()
-        if self._writer == me:
-            self._writer_depth += 1
-            return
-        if self._read_depth() > 0:
-            raise RuntimeError("cannot upgrade a read section to a write transaction")
-        with self._cond:
-            self._waiting_writers += 1
-            try:
-                while self._writer is not None or self._active_readers:
-                    self._cond.wait()
-            finally:
-                self._waiting_writers -= 1
-            self._writer = me
-            self._writer_depth = 1
-
-    def release_write(self) -> None:
-        if self._writer != threading.get_ident():
-            raise RuntimeError("write lock not held by this thread")
-        self._writer_depth -= 1
-        if self._writer_depth == 0:
-            with self._cond:
-                self._writer = None
-                self._cond.notify_all()
-
-    def held_by_writer(self) -> bool:
-        return self._writer == threading.get_ident()
-
-
-class _ReadSection:
-    __slots__ = ("_lock",)
-
-    def __init__(self, lock: _RWLock):
-        self._lock = lock
-
-    def __enter__(self):
-        self._lock.acquire_read()
-        return self
-
-    def __exit__(self, *exc):
-        self._lock.release_read()
-        return False
-
-
-class _WriteTransaction:
-    __slots__ = ("_lock",)
-
-    def __init__(self, lock: _RWLock):
-        self._lock = lock
-
-    def __enter__(self):
-        self._lock.acquire_write()
-        return self
-
-    def __exit__(self, *exc):
-        self._lock.release_write()
-        return False
-
-
 class AuthorizationGraph:
     """Protection state: typed vertices, categorized relations and one
     edge index over every category, keyed forward and reverse by
@@ -163,19 +63,31 @@ class AuthorizationGraph:
         self._relations: dict[str, str] = {}
         self._fwd: dict[tuple[str, str], set[str]] = {}
         self._rev: dict[tuple[str, str], set[str]] = {}
-        self._lock = _RWLock()
+        self._lock = threading.RLock()
+        self._writer: int | None = None
 
     # --- locking ---
 
-    def read(self) -> _ReadSection:
-        return _ReadSection(self._lock)
+    def read(self) -> threading.RLock:
+        """Read section: the graph's one reentrant lock."""
+        return self._lock
 
-    def write(self) -> _WriteTransaction:
-        """Exclusive write transaction; required for every mutation."""
-        return _WriteTransaction(self._lock)
+    @contextmanager
+    def write(self) -> Iterator[None]:
+        """Exclusive write transaction; required for every mutation.
+
+        Nests, also inside a read section of the same thread.  A mutation
+        from a thread that does not own the transaction raises
+        ``TransactionRequired`` at once instead of waiting for it."""
+        with self._lock:
+            outer, self._writer = self._writer, threading.get_ident()
+            try:
+                yield
+            finally:
+                self._writer = outer
 
     def _require_write(self) -> None:
-        if not self._lock.held_by_writer():
+        if self._writer != threading.get_ident():
             raise TransactionRequired("mutation outside a write transaction")
 
     # --- vertices / relations ---

@@ -126,10 +126,6 @@ class PolicyStore:
             from .rbac import RbacTables
             self.rbac = RbacTables(frozenset(), {}, {})
 
-    def principals(self) -> list[str]:
-        """Every declared principal id, in the engine's iteration order."""
-        return sorted(set(self.matching_rules) | set(self.authorization_rules))
-
 
 def _entries(doc: Mapping, key: str) -> Iterable[Mapping]:
     value = doc.get(key, [])

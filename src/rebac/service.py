@@ -12,12 +12,14 @@ server-side ``latency_us``::
 Supported ops: ``check``, ``filter``, ``match``, ``admin.enabled``,
 ``admin.exec``.  Results mirror the corresponding library calls exactly.
 A malformed line (including JSON nested too deeply to decode) yields a
-``parse`` error response and the connection stays open.  Any other
-unexpected failure while serving a request is logged and yields an
-``internal`` error response, so one bad request never ends the
-connection.  Connections are handled concurrently; graph reads run in
-parallel while ``admin.exec`` serializes through the graph's write
-transaction.
+``parse`` error response and the connection stays open; so does a line
+longer than ``MAX_LINE_BYTES``, whose rest is read and discarded in
+bounded chunks.  Any other unexpected failure while serving a request is
+logged and yields an ``internal`` error response, so one bad request
+never ends the connection.  Each connection has its own handler thread;
+the graph is guarded by one reentrant mutex, so readers take it in turn
+and ``admin.exec`` holds it for its whole write transaction.  Replies are
+sent with Nagle's algorithm off, so pipelined requests are not delayed.
 """
 
 from __future__ import annotations
@@ -38,15 +40,26 @@ from .rbac import RbacTables
 
 _log = logging.getLogger(__name__)
 
+# Longest request line accepted, newline excluded.
+MAX_LINE_BYTES = 1 << 20
+
 
 class _Handler(socketserver.StreamRequestHandler):
+    disable_nagle_algorithm = True
+
     def handle(self):
         server: PdpServer = self.server  # type: ignore[assignment]
-        for raw in self.rfile:
+        while raw := self.rfile.readline(MAX_LINE_BYTES + 1):
+            start = time.perf_counter()
+            if len(raw) > MAX_LINE_BYTES and not raw.endswith(b"\n"):
+                self._discard_rest_of_line()
+                self._reply({"ok": False, "error": {
+                    "code": "parse",
+                    "message": f"line longer than {MAX_LINE_BYTES} bytes"}}, start)
+                continue
             line = raw.strip()
             if not line:
                 continue
-            start = time.perf_counter()
             try:
                 request = json.loads(line.decode("utf-8"))
             except (UnicodeDecodeError, json.JSONDecodeError, RecursionError) as exc:
@@ -66,6 +79,11 @@ class _Handler(socketserver.StreamRequestHandler):
                 response = {"ok": False,
                             "error": {"code": "internal", "message": repr(exc)}}
             self._reply(response, start)
+
+    def _discard_rest_of_line(self) -> None:
+        while chunk := self.rfile.readline(MAX_LINE_BYTES):
+            if chunk.endswith(b"\n"):
+                return
 
     def _reply(self, response: dict, start: float) -> None:
         response["latency_us"] = (time.perf_counter() - start) * 1e6

@@ -2,6 +2,7 @@ import os
 import random
 import threading
 import time
+from contextlib import contextmanager
 
 import pytest
 from hypothesis import given, settings
@@ -75,6 +76,72 @@ class TestQueries:
             g.out_neighbors("p", "undeclared")
 
 
+@contextmanager
+def _outside_any_section(g):
+    yield
+
+
+@contextmanager
+def _inside_read_section(g):
+    with g.read():
+        yield
+
+
+@contextmanager
+def _while_another_thread_writes(g):
+    held, release = threading.Event(), threading.Event()
+
+    def hold():
+        with g.write():
+            held.set()
+            release.wait(timeout=5)
+
+    holder = threading.Thread(target=hold, daemon=True)
+    holder.start()
+    assert held.wait(timeout=5)
+    start = time.perf_counter()
+    try:
+        yield
+    finally:
+        release.set()
+    assert time.perf_counter() - start < 1.0  # refused at once, not after the lock
+    holder.join(timeout=5)
+    assert not holder.is_alive()
+
+
+@contextmanager
+def _after_nested_write(g):
+    with g.write():
+        with g.write():
+            g.add_edge("s", "referrer", "d2")
+        g.del_edge("s", "referrer", "d2")  # the inner exit restored the outer owner
+    yield
+
+
+@contextmanager
+def _after_failed_write(g):
+    with pytest.raises(RuntimeError), g.write():
+        raise RuntimeError("abort")
+
+    def write_elsewhere():
+        with g.write():
+            g.add_edge("s", "referrer", "d2")
+
+    other = threading.Thread(target=write_elsewhere, daemon=True)
+    other.start()
+    other.join(timeout=5)
+    assert g.has_edge("s", "referrer", "d2")  # the failed transaction released the lock
+    yield
+
+
+@contextmanager
+def _after_write_inside_read_section(g):
+    with g.read():
+        with g.write():
+            g.add_edge("s", "referrer", "d2")
+        yield
+
+
 class TestMutation:
     def test_add_then_query(self):
         g = tiny_graph()
@@ -100,12 +167,24 @@ class TestMutation:
         assert not g.has_edge("p", "gp", "d1")
         assert g.in_neighbors("d1", "gp") == set()
 
-    def test_mutation_requires_transaction(self):
+    @pytest.mark.parametrize("situation", [
+        _outside_any_section,
+        _inside_read_section,
+        _while_another_thread_writes,
+        _after_nested_write,
+        _after_failed_write,
+        _after_write_inside_read_section,
+    ])
+    def test_mutation_requires_transaction(self, situation):
+        # in each situation this thread owns no write transaction
         g = tiny_graph()
-        with pytest.raises(TransactionRequired):
-            g.add_edge("d1", "referrer", "d2")
-        with pytest.raises(TransactionRequired):
-            g.del_edge("p", "gp", "d1")
+        with situation(g):
+            with pytest.raises(TransactionRequired):
+                g.add_edge("d1", "referrer", "d2")
+            with pytest.raises(TransactionRequired):
+                g.del_edge("p", "gp", "d1")
+        assert not g.has_edge("d1", "referrer", "d2")
+        assert g.has_edge("p", "gp", "d1")
 
     def test_add_edge_unknown_vertex(self):
         g = tiny_graph()

@@ -70,12 +70,12 @@ class TestLoadAndValidate:
     def test_empty_policy_is_valid(self):
         store = load_policy({})
         assert validate(store) == []
-        assert store.principals() == []
+        assert store.matching_rules == {} and store.authorization_rules == {}
 
     def test_referral_fixture_is_valid(self):
         store = load_policy(copy.deepcopy(REFERRAL_POLICY))
         assert validate(store) == []
-        assert store.principals() == ["treating-clinician"]
+        assert set(store.matching_rules) == set(store.authorization_rules) == {"treating-clinician"}
 
     def test_matching_rule_without_authorization_rule(self):
         store = load_policy({
@@ -184,7 +184,7 @@ class TestLoadAndValidate:
         matching, authorization, formulas = synth_policy(cfg, tables)
         store = PolicyStore(formulas=formulas, matching_rules=matching,
                             authorization_rules=authorization, rbac=tables)
-        assert len(store.principals()) == 67
+        assert len(set(store.matching_rules) | set(store.authorization_rules)) == 67
         assert validate(store) == []
 
 

@@ -1,11 +1,14 @@
 import json
+import socket
+import statistics
 import threading
+import time
 
 import pytest
 
 from rebac.engine import AccessRequest, EngineConfig, check
 from rebac.policy import guard_from_json
-from rebac.service import PdpClient, PdpServer
+from rebac.service import MAX_LINE_BYTES, PdpClient, PdpServer
 
 from .conftest import build_referral_system
 
@@ -23,6 +26,10 @@ def server():
 def client_for(server):
     host, port = server.address
     return PdpClient(host, port)
+
+
+def match_line(user):
+    return json.dumps({"op": "match", "resource": "rec1", "user": user}).encode() + b"\n"
 
 
 class TestOps:
@@ -91,6 +98,42 @@ class TestProtocol:
             assert bad["error"]["code"] == "parse"
             good = c.call({"op": "match", "resource": "rec1", "user": "d1"})
             assert good["ok"] is True
+
+    @pytest.mark.parametrize("length, refused", [
+        (MAX_LINE_BYTES, False),
+        (MAX_LINE_BYTES + 1, True),
+        (3 * MAX_LINE_BYTES, True),
+    ])
+    def test_line_length_cap_keeps_connection_open(self, server, length, refused):
+        # a valid request padded with blanks to ``length`` bytes, newline excluded
+        padded = match_line("s1").rstrip(b"\n").ljust(length) + b"\n"
+        with socket.create_connection(server.address, timeout=10) as sock, \
+                sock.makefile("rb") as replies:
+            sock.sendall(padded + match_line("d1"))
+            first, good = json.loads(replies.readline()), json.loads(replies.readline())
+        if refused:
+            assert first["ok"] is False
+            assert first["error"]["code"] == "parse"
+        else:
+            assert first["result"] == {"principals": []}
+        assert good["result"] == {"principals": ["treating-clinician"]}
+
+    def test_pipelined_requests_answered_in_order_without_delay(self, server):
+        # four requests in one write; with Nagle's algorithm on the server
+        # each reply after the first waits for the client's delayed ACK
+        users = ["d1", "s1", "s1", "d1"]
+        expected = [{"principals": ["treating-clinician"] if u == "d1" else []}
+                    for u in users]
+        rounds = []
+        with socket.create_connection(server.address, timeout=10) as sock, \
+                sock.makefile("rb") as replies:
+            for _ in range(5):
+                start = time.perf_counter()
+                sock.sendall(b"".join(match_line(u) for u in users))
+                got = [json.loads(replies.readline())["result"] for _ in users]
+                rounds.append(time.perf_counter() - start)
+                assert got == expected
+        assert statistics.median(rounds) < 0.020
 
     def test_unexpected_failure_is_internal_error(self, server, monkeypatch):
         def broken(request):
