@@ -1,4 +1,4 @@
-"""Access requests and the four relationship-based authorization algorithms.
+"""Access requests and the relationship-based principal-matching loop.
 
 A request is the triple (resource, user, guard).  A principal is enabled
 for a request when its relationship predicate holds over (resource, user).
@@ -8,16 +8,16 @@ Two grant semantics exist:
   satisfy the guard;
 * strict -- some single enabled principal must satisfy the guard alone.
 
-and two matching strategies:
-
-* eager -- compute the full enabled set, then decide;
-* lazy -- walk principals in order, skip those whose privileges cannot
-  contribute, memoize predicate evaluations by formula id, and stop as
-  soon as the decision is known.
+One loop serves both semantics and both matching strategies.  It visits
+principals in lexicographic id order, memoizes predicate evaluations by
+formula id, and pools the grants of each enabled principal.  Eager
+matching runs the loop to the end and records the enabled set; lazy
+matching adds only a skip test for principals whose privileges cannot
+contribute and an early exit as soon as the request is allowed.
 
 Strategies never change the decision, only the work done; the trace on
-each Decision records that work.  Principals are always visited in
-lexicographic id order, so traces and benchmarks are reproducible.
+each Decision records that work.  The fixed visiting order keeps traces
+and benchmarks reproducible.
 
 Combined mode runs the legacy role check first and consults the
 relationship engine only when roles already grant access; the request is
@@ -64,135 +64,77 @@ class EngineConfig:
             raise ValueError(f"mode must be one of {MODES}")
 
 
-class _PredicateCache:
-    """Per-request memo of relationship-predicate results, keyed by formula id.
-
-    Principals sharing a formula id share one evaluation; the counters
-    feed the decision trace.
-    """
-
-    def __init__(self, store: PolicyStore, graph: AuthorizationGraph,
-                 resource: str, user: str):
-        self._store = store
-        self._graph = graph
-        self._resource = resource
-        self._user = user
-        self._memo: dict[str, bool] = {}
-        self.evaluations = 0
-        self.hits = 0
-
-    def holds(self, principal: str, formula_id: str) -> bool:
-        if formula_id in self._memo:
-            self.hits += 1
-            return self._memo[formula_id]
-        formula = self._store.formulas.get(formula_id)
-        if formula is None:
-            raise EvaluationError(principal, KeyError(f"unknown formula {formula_id!r}"))
-        try:
-            value = hl.relationship_predicate(formula, self._graph, self._resource, self._user)
-        except RebacError as exc:
-            raise EvaluationError(principal, exc) from exc
-        self.evaluations += 1
-        self._memo[formula_id] = value
-        return value
-
-
-def _principal_order(store: PolicyStore) -> list[str]:
-    return sorted(store.matching_rules)
-
-
-def _grants(store: PolicyStore, principal: str) -> frozenset[str]:
-    return store.authorization_rules.get(principal, frozenset())
+def _match(store: PolicyStore, graph: AuthorizationGraph, resource: str, user: str,
+           guard: Guard | None, lazy: bool, strict: bool) -> Decision:
+    """The one principal-matching loop.  Allow once the pooled grants
+    (liberal) or the enabled principal's own grants (strict) satisfy the
+    guard; with ``guard=None`` an eager pass only collects the enabled set."""
+    memo: dict[str, bool] = {}
+    evaluations = hits = considered = 0
+    enabled: list[str] = []
+    pooled: set[str] = set()
+    allow = False
+    with graph.read():
+        for ap in sorted(store.matching_rules):
+            considered += 1
+            grants = store.authorization_rules.get(ap, frozenset())
+            if lazy and not (satisfies(grants, guard) if strict
+                             else (grants - pooled) & guard.privileges):
+                continue
+            fid = store.matching_rules[ap]
+            # Under lazy strict a memo hit is always False: a true
+            # predicate would already have allowed the request.
+            if fid in memo:
+                hits += 1
+            else:
+                formula = store.formulas.get(fid)
+                if formula is None:
+                    raise EvaluationError(ap, KeyError(f"unknown formula {fid!r}"))
+                try:
+                    memo[fid] = hl.relationship_predicate(formula, graph, resource, user)
+                except RebacError as exc:
+                    raise EvaluationError(ap, exc) from exc
+                evaluations += 1
+            if not memo[fid]:
+                continue
+            enabled.append(ap)
+            if guard is None:
+                continue
+            pooled |= grants
+            if satisfies(grants if strict else pooled, guard):
+                allow = True
+                if lazy:
+                    break
+    return Decision(allow, Trace(considered, evaluations, hits,
+                                 None if lazy else frozenset(enabled)))
 
 
 def enabled_principals(store: PolicyStore, graph: AuthorizationGraph,
                        resource: str, user: str) -> set[str]:
     """Exactly the principals whose relationship predicate holds for
     (resource, user); each distinct formula is evaluated at most once."""
-    cache = _PredicateCache(store, graph, resource, user)
-    with graph.read():
-        return {
-            ap for ap in _principal_order(store)
-            if cache.holds(ap, store.matching_rules[ap])
-        }
-
-
-def _check_eager(store: PolicyStore, graph: AuthorizationGraph,
-                 req: AccessRequest, semantics: str) -> Decision:
-    cache = _PredicateCache(store, graph, req.resource, req.user)
-    order = _principal_order(store)
-    with graph.read():
-        enabled = [ap for ap in order if cache.holds(ap, store.matching_rules[ap])]
-    if semantics == "liberal":
-        pooled: set[str] = set()
-        for ap in enabled:
-            pooled |= _grants(store, ap)
-        allow = satisfies(pooled, req.guard)
-    else:
-        allow = any(satisfies(_grants(store, ap), req.guard) for ap in enabled)
-    return Decision(allow, Trace(
-        principals_considered=len(order),
-        formulas_evaluated=cache.evaluations,
-        cache_hits=cache.hits,
-        enabled_principals=frozenset(enabled),
-    ))
+    return set(_match(store, graph, resource, user, None, lazy=False,
+                      strict=False).trace.enabled_principals)
 
 
 def check_eager_liberal(store: PolicyStore, graph: AuthorizationGraph,
                         req: AccessRequest) -> Decision:
-    return _check_eager(store, graph, req, "liberal")
+    return _match(store, graph, req.resource, req.user, req.guard, lazy=False, strict=False)
 
 
 def check_eager_strict(store: PolicyStore, graph: AuthorizationGraph,
                        req: AccessRequest) -> Decision:
-    return _check_eager(store, graph, req, "strict")
+    return _match(store, graph, req.resource, req.user, req.guard, lazy=False, strict=True)
 
 
 def check_lazy_liberal(store: PolicyStore, graph: AuthorizationGraph,
                        req: AccessRequest) -> Decision:
-    """Accumulate privileges principal by principal, skipping any whose
-    grants cannot add a still-needed guard privilege, and stop as soon as
-    the accumulated set satisfies the guard."""
-    needed = req.guard.privileges
-    cache = _PredicateCache(store, graph, req.resource, req.user)
-    pooled: set[str] = set()
-    considered = 0
-    with graph.read():
-        for ap in _principal_order(store):
-            considered += 1
-            grants = _grants(store, ap)
-            if not (grants - pooled) & needed:
-                continue
-            if cache.holds(ap, store.matching_rules[ap]):
-                pooled |= grants
-                if satisfies(pooled, req.guard):
-                    return Decision(True, Trace(considered, cache.evaluations, cache.hits))
-    return Decision(False, Trace(considered, cache.evaluations, cache.hits))
+    return _match(store, graph, req.resource, req.user, req.guard, lazy=True, strict=False)
 
 
 def check_lazy_strict(store: PolicyStore, graph: AuthorizationGraph,
                       req: AccessRequest) -> Decision:
-    """Consider only principals that could satisfy the guard single-handedly
-    and allow on the first one that is enabled.  A memo hit here is always
-    False: a true predicate would already have allowed the request."""
-    cache = _PredicateCache(store, graph, req.resource, req.user)
-    considered = 0
-    with graph.read():
-        for ap in _principal_order(store):
-            considered += 1
-            if not satisfies(_grants(store, ap), req.guard):
-                continue
-            if cache.holds(ap, store.matching_rules[ap]):
-                return Decision(True, Trace(considered, cache.evaluations, cache.hits))
-    return Decision(False, Trace(considered, cache.evaluations, cache.hits))
-
-
-_REBAC_CHECKS = {
-    ("eager", "liberal"): check_eager_liberal,
-    ("eager", "strict"): check_eager_strict,
-    ("lazy", "liberal"): check_lazy_liberal,
-    ("lazy", "strict"): check_lazy_strict,
-}
+    return _match(store, graph, req.resource, req.user, req.guard, lazy=True, strict=True)
 
 
 def check(store: PolicyStore, graph: AuthorizationGraph, tables: RbacTables,
@@ -209,13 +151,12 @@ def check(store: PolicyStore, graph: AuthorizationGraph, tables: RbacTables,
                 raise UnknownVertex(v)
         if cfg.mode == "rbac-only":
             decision = Decision(satisfies(rbac_privileges(tables, req.user), req.guard))
-        elif cfg.mode == "rebac-only":
-            decision = _REBAC_CHECKS[(cfg.strategy, cfg.semantics)](store, graph, req)
+        elif cfg.mode == "both" and not satisfies(rbac_privileges(tables, req.user),
+                                                  req.guard):
+            decision = Decision(False)
         else:
-            if not satisfies(rbac_privileges(tables, req.user), req.guard):
-                decision = Decision(False)
-            else:
-                decision = _REBAC_CHECKS[(cfg.strategy, cfg.semantics)](store, graph, req)
+            decision = _match(store, graph, req.resource, req.user, req.guard,
+                              lazy=cfg.strategy == "lazy", strict=cfg.semantics == "strict")
     decision.trace.elapsed_us = (time.perf_counter() - start) * 1e6
     return decision
 

@@ -20,8 +20,9 @@ top level of a formula must be a Boolean combination of ``@x``-rooted
 subtrees (the anchored restriction), which makes evaluation independent
 of any initial world.
 
-Formulas are immutable after parse; ``evaluate`` is pure given a stable
-graph snapshot and is safe for concurrent use.
+A ``Formula`` validates itself once, when it is constructed, and is
+immutable after; ``evaluate`` is pure given a stable graph snapshot and
+is safe for concurrent use.
 """
 
 from __future__ import annotations
@@ -80,10 +81,14 @@ class At:
 
 @dataclass(frozen=True)
 class Formula:
-    """Validated AST plus its declared free variables, in order."""
+    """AST plus its declared free variables, in order; construction runs
+    ``validate``, so every Formula is anchored and uses only its vars."""
 
     vars: tuple[str, ...]
     body: Node
+
+    def __post_init__(self):
+        validate(self)
 
     @property
     def arity(self) -> int:
@@ -253,11 +258,8 @@ class _Parser:
 
 
 def parse(text: str, vars: list[str] | tuple[str, ...]) -> Formula:
-    """Parse and validate formula text against its declared variables."""
-    body = _Parser(text).formula()
-    formula = Formula(tuple(vars), body)
-    validate(formula)
-    return formula
+    """Parse formula text into a (self-validating) Formula."""
+    return Formula(tuple(vars), _Parser(text).formula())
 
 
 # --- unparsing ---
@@ -309,12 +311,10 @@ def unparse(formula: Formula) -> str:
 
 
 def evaluate(formula: Formula, g: AuthorizationGraph, valuation: Valuation) -> bool:
-    """Local model check of an anchored formula under a total valuation."""
+    """Local model check of a formula under a total valuation."""
     for v in formula.vars:
         if v not in valuation:
             raise UnknownVariable(f"valuation missing {v!r}")
-    if not is_anchored(formula.body):
-        raise NotAnchored("evaluate requires an anchored formula")
     with g.read():
         return _eval(formula.body, g, valuation, None)
 

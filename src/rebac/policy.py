@@ -89,18 +89,6 @@ def guard_from_json(obj) -> Guard:
 
 
 @dataclass(frozen=True)
-class PrincipalMatchingRule:
-    principal: str
-    formula_id: str
-
-
-@dataclass(frozen=True)
-class AuthorizationRule:
-    principal: str
-    privileges: frozenset[str]
-
-
-@dataclass(frozen=True)
 class Diagnostic:
     code: str
     subject: str
@@ -123,8 +111,8 @@ class PolicyStore:
 
     def __post_init__(self):
         if self.rbac is None:
-            from .rbac import RbacTables
-            self.rbac = RbacTables(frozenset(), {}, {})
+            from .rbac import empty_tables
+            self.rbac = empty_tables()
 
 
 def _entries(doc: Mapping, key: str) -> Iterable[Mapping]:

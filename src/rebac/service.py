@@ -43,6 +43,9 @@ _log = logging.getLogger(__name__)
 # Longest request line accepted, newline excluded.
 MAX_LINE_BYTES = 1 << 20
 
+# Shutdown poll interval of the start() thread: stop() waits up to this long.
+_SHUTDOWN_POLL_S = 0.05
+
 
 class _Handler(socketserver.StreamRequestHandler):
     disable_nagle_algorithm = True
@@ -112,7 +115,8 @@ class PdpServer(socketserver.ThreadingTCPServer):
         return self.server_address[:2]
 
     def start(self) -> "PdpServer":
-        self._thread = threading.Thread(target=self.serve_forever, daemon=True)
+        self._thread = threading.Thread(target=self.serve_forever,
+                                        args=(_SHUTDOWN_POLL_S,), daemon=True)
         self._thread.start()
         return self
 

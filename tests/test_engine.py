@@ -29,6 +29,12 @@ REBAC_ONLY = {
 }
 
 
+def untimed(decision):
+    out = decision.to_json()
+    out["trace"].pop("elapsed_us")
+    return out
+
+
 def treating_clinician_system():
     """Record owned by a patient whose family doctor (or referred
     specialist) should match the treating-clinician principal."""
@@ -210,10 +216,14 @@ class TestRandomizedEquivalence:
 
     def test_strategies_agree_and_lazy_does_less_work(self):
         for store, g, req in self.run_cases(400, seed=2024):
-            eager_lib = check_eager_liberal(store, g, req)
-            lazy_lib = check_lazy_liberal(store, g, req)
-            eager_str = check_eager_strict(store, g, req)
-            lazy_str = check_lazy_strict(store, g, req)
+            decisions = {key: fn(store, g, req) for key, fn in REBAC_ONLY.items()}
+            for (strategy, semantics), direct in decisions.items():
+                cfg = EngineConfig(semantics=semantics, strategy=strategy, mode="rebac-only")
+                assert untimed(check(store, g, store.rbac, req, cfg)) == untimed(direct)
+            eager_lib = decisions[("eager", "liberal")]
+            lazy_lib = decisions[("lazy", "liberal")]
+            eager_str = decisions[("eager", "strict")]
+            lazy_str = decisions[("lazy", "strict")]
             assert eager_lib.allow == lazy_lib.allow
             assert eager_str.allow == lazy_str.allow
             assert lazy_lib.trace.formulas_evaluated <= eager_lib.trace.formulas_evaluated

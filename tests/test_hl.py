@@ -63,6 +63,14 @@ class TestParse:
         with pytest.raises(UnknownVariable):
             hl.parse("@patient <gp> requestor", ["patient"])
 
+    @pytest.mark.parametrize("vars, body", [
+        (("x",), At("y", Const(True))),
+        (("x", "x"), Const(True)),
+    ], ids=["undeclared", "duplicate"])
+    def test_construction_checks_declared_variables(self, vars, body):
+        with pytest.raises(UnknownVariable):
+            Formula(vars, body)
+
     @pytest.mark.parametrize("text", [
         "@patient <gp requestor",
         "@ <gp> requestor",
@@ -143,9 +151,9 @@ class TestEvaluate:
             hl.evaluate(f, g, {})
 
     def test_unanchored_formula_rejected(self):
-        g = graph_of([], vertices=["v"], relations=["r"])
+        # evaluate does not re-check anchoring: no unanchored Formula exists
         with pytest.raises(NotAnchored):
-            hl.evaluate(Formula(("x",), Var("x")), g, {"x": "v"})
+            Formula(("x",), Var("x"))
 
     def test_relationship_predicate_binds_by_position(self):
         g = graph_of([("p", "gp", "d")])

@@ -184,6 +184,16 @@ class TestProtocol:
             assert got == expected
 
 
+def test_stop_returns_promptly():
+    graph, store = build_referral_system()
+    srv = PdpServer(("127.0.0.1", 0), graph, store).start()
+    with client_for(srv) as c:
+        assert c.call(json.loads(match_line("d1")))["ok"] is True
+    start = time.perf_counter()
+    srv.stop()
+    assert time.perf_counter() - start < 0.25
+
+
 def test_concurrent_clients_get_isolated_answers(server):
     errors = []
 
