@@ -5,8 +5,8 @@ policies name authorization principals whose membership is decided per
 request by hybrid-logic relationship predicates.  The engine implements
 liberal/strict grant semantics under eager or lazy principal matching,
 combined with a flat RBAC baseline, plus an administrative model for
-atomic access-control edge updates, a workload synthesizer, a benchmark
-harness, a TCP decision service and a CLI.
+atomic access-control edge updates, a workload synthesizer, a TCP
+decision service and a CLI.
 """
 
 from .decision import Decision, Trace

@@ -1,4 +1,5 @@
-"""Benchmark harness for the eight engine configurations.
+"""The paper's eight engine configurations, timed by acceptance criteria
+05, 06 and 09.
 
 Each configuration fixes the mechanism, guard kind, matching strategy and
 grant semantics:
@@ -8,34 +9,28 @@ grant semantics:
     ReAllEgLib / ReAllEgStr  all-of guards, eager, liberal / strict
     ReAllLzLib / ReAllLzStr  all-of guards, lazy, liberal / strict
 
-A run replays the synthesized request list in order after 250 distinct
+A run replays a synthesized request list in order after 250 distinct
 neighbor-retrieval warmup queries; the first half of the requests is
-further warmup and only the second half is timed.  Reported statistics
-are the mean latency with a normal-approximation 95% confidence interval,
-plus per-request predicate-evaluation and cache-hit counts.
+further warmup and only the second half is timed.  The report holds every
+decision, plus the latency and predicate-evaluation count of each timed
+request.
 
-Runs are single-threaded; the timer wraps the check call only.
+Runs are single-threaded; the timer wraps the check call only.  The
+benchmark behind performance claims is ``perfbench/run.py``.
 """
 
 from __future__ import annotations
 
-import csv
-import math
 import statistics
 import time
 from dataclasses import dataclass, field
-from pathlib import Path
 
-from .engine import AccessRequest, EngineConfig, check
+from .engine import EngineConfig, check
 from .graph import AuthorizationGraph
-from .policy import PolicyStore
 from .prng import stream
-from .rbac import RbacTables
-from .synth import GraphSource, SynthConfig, SynthesizedWorkload, synthesize
+from .synth import SynthesizedWorkload
 
 WARMUP_QUERIES = 250
-
-_Z95 = 1.959963984540054
 
 # name -> (mode, guard kind, strategy, semantics)
 CONFIGURATIONS: dict[str, tuple[str, str, str, str]] = {
@@ -54,21 +49,12 @@ CONFIGURATIONS: dict[str, tuple[str, str, str, str]] = {
 class BenchConfig:
     configuration: str
     seed: int
-    scale: float = 1.0
-    repetitions: int = 1
-    graph_source: GraphSource | None = None
+    scale: float = 1.0  # names the workload; run_bench checks it matches
 
     def __post_init__(self):
         if self.configuration not in CONFIGURATIONS:
             raise ValueError(f"unknown configuration {self.configuration!r}; "
                              f"choose from {sorted(CONFIGURATIONS)}")
-        if self.repetitions < 1:
-            raise ValueError("repetitions must be >= 1")
-
-    def synth_config(self) -> SynthConfig:
-        if self.graph_source is None:
-            return SynthConfig(self.seed, self.scale)
-        return SynthConfig(self.seed, self.scale, self.graph_source)
 
     def engine_config(self) -> EngineConfig:
         mode, _, strategy, semantics = CONFIGURATIONS[self.configuration]
@@ -81,39 +67,17 @@ class BenchConfig:
 
 @dataclass
 class BenchReport:
-    configuration: str
-    first_index: int  # global index of the first measured request
-    allows: list[bool] = field(default_factory=list)
+    allows_full: list[bool] = field(default_factory=list)  # warmup included
     latencies_us: list[float] = field(default_factory=list)
     formula_evals: list[int] = field(default_factory=list)
-    cache_hits: list[int] = field(default_factory=list)
-    allows_full: list[bool] = field(default_factory=list)  # warmup included
 
     @property
     def mean_us(self) -> float:
         return statistics.fmean(self.latencies_us)
 
     @property
-    def ci95_us(self) -> float:
-        """Half-width of the 95% confidence interval on the mean."""
-        n = len(self.latencies_us)
-        if n < 2:
-            return 0.0
-        return _Z95 * statistics.stdev(self.latencies_us) / math.sqrt(n)
-
-    @property
     def mean_formula_evals(self) -> float:
         return statistics.fmean(self.formula_evals)
-
-    @property
-    def mean_cache_hits(self) -> float:
-        return statistics.fmean(self.cache_hits)
-
-    def summary(self) -> str:
-        return (f"{self.configuration}: mean {self.mean_us:.1f}us "
-                f"+/- {self.ci95_us:.1f}us over {len(self.latencies_us)} requests, "
-                f"{sum(self.allows)} allowed, "
-                f"{self.mean_formula_evals:.2f} formula evals/request")
 
 
 def run_warmup(graph: AuthorizationGraph, seed: int) -> int:
@@ -132,80 +96,26 @@ def run_warmup(graph: AuthorizationGraph, seed: int) -> int:
     return total
 
 
-def run_bench(cfg: BenchConfig, workload: SynthesizedWorkload | None = None) -> BenchReport:
-    """Execute one configuration; pass a prebuilt workload to share the
-    synthesized state across configurations."""
-    if workload is None:
-        workload = synthesize(cfg.synth_config())
+def run_bench(cfg: BenchConfig, workload: SynthesizedWorkload) -> BenchReport:
+    """Execute one configuration on a workload synthesized with the
+    config's seed and scale."""
+    if (workload.cfg.seed, workload.cfg.scale) != (cfg.seed, cfg.scale):
+        raise ValueError(f"workload has seed {workload.cfg.seed} and scale "
+                         f"{workload.cfg.scale}; {cfg.configuration} asks for "
+                         f"seed {cfg.seed} and scale {cfg.scale}")
     requests = workload.requests[cfg.guard_kind]
     engine_cfg = cfg.engine_config()
     graph, store, tables = workload.graph, workload.store, workload.store.rbac
     first_measured = len(requests) // 2
 
     run_warmup(graph, cfg.seed)
-    report = BenchReport(cfg.configuration, first_measured)
-    previous_allows: list[bool] | None = None
-    for _ in range(cfg.repetitions):
-        report = _run_once(cfg.configuration, requests, first_measured,
-                           store, graph, tables, engine_cfg)
-        if previous_allows is not None and report.allows_full != previous_allows:
-            raise RuntimeError(f"{cfg.configuration}: decisions changed across repetitions")
-        previous_allows = report.allows_full
-    return report
-
-
-def _run_once(name: str, requests: list[AccessRequest], first_measured: int,
-              store: PolicyStore, graph: AuthorizationGraph, tables: RbacTables,
-              engine_cfg: EngineConfig) -> BenchReport:
-    report = BenchReport(name, first_measured)
+    report = BenchReport()
     for i, req in enumerate(requests):
         start = time.perf_counter()
         decision = check(store, graph, tables, req, engine_cfg)
         elapsed_us = (time.perf_counter() - start) * 1e6
         report.allows_full.append(decision.allow)
         if i >= first_measured:
-            report.allows.append(decision.allow)
             report.latencies_us.append(elapsed_us)
             report.formula_evals.append(decision.trace.formulas_evaluated)
-            report.cache_hits.append(decision.trace.cache_hits)
     return report
-
-
-def run_suite(names: list[str], synth_cfg: SynthConfig,
-              repetitions: int = 1) -> list[BenchReport]:
-    """Run several configurations against one shared synthesized workload."""
-    workload = synthesize(synth_cfg)
-    return [
-        run_bench(BenchConfig(name, synth_cfg.seed, synth_cfg.scale, repetitions,
-                              synth_cfg.graph_source), workload)
-        for name in names
-    ]
-
-
-CSV_COLUMNS = ("config", "request_index", "allow", "latency_us",
-               "formula_evals", "cache_hits")
-
-
-def write_csv(reports: list[BenchReport], path) -> None:
-    """Per-request rows plus one summary row per configuration."""
-    with open(Path(path), "w", encoding="utf-8", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(CSV_COLUMNS)
-        for report in reports:
-            for i in range(len(report.latencies_us)):
-                writer.writerow([
-                    report.configuration,
-                    report.first_index + i,
-                    int(report.allows[i]),
-                    f"{report.latencies_us[i]:.3f}",
-                    report.formula_evals[i],
-                    report.cache_hits[i],
-                ])
-            writer.writerow([
-                report.configuration,
-                "summary",
-                sum(report.allows),
-                f"{report.mean_us:.3f}",
-                f"{report.mean_formula_evals:.3f}",
-                f"{report.mean_cache_hits:.3f}",
-            ])

@@ -13,7 +13,6 @@ import sys
 from pathlib import Path
 
 from . import admin as admin_mod
-from . import bench as bench_mod
 from . import engine as engine_mod
 from . import hl, service, synth
 from .errors import PolicyError, RebacError
@@ -124,16 +123,6 @@ def _cmd_synth(args) -> int:
     return 0
 
 
-def _cmd_bench(args) -> int:
-    source = args.graph_file or synth.GeneratedGraph(args.nodes, args.edges)
-    cfg = bench_mod.BenchConfig(args.config, args.seed, args.scale,
-                                args.repetitions, source)
-    report = bench_mod.run_bench(cfg)
-    bench_mod.write_csv([report], args.out)
-    print(report.summary())
-    return 0
-
-
 def _cmd_serve(args) -> int:
     graph, store = _load_system(args)
     print(f"listening on {args.listen}", file=sys.stderr)
@@ -164,7 +153,7 @@ def _cmd_fmt_check(args) -> int:
 def _build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="rebac",
-        description="Relationship-based access control engine and benchmark harness")
+        description="Relationship-based access control decision engine")
     sub = parser.add_subparsers(dest="command", required=True)
 
     p = sub.add_parser("check", help="authorize one (resource, user, guard) request")
@@ -215,17 +204,6 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--edges", type=int, help="generated graph edge count")
     p.add_argument("--graph-file", help="raw 'src dst' pair file instead of generation")
     p.set_defaults(func=_cmd_synth)
-
-    p = sub.add_parser("bench", help="run one benchmark configuration")
-    p.add_argument("--config", required=True, choices=sorted(bench_mod.CONFIGURATIONS))
-    p.add_argument("--seed", type=int, required=True)
-    p.add_argument("--scale", type=float, default=1.0)
-    p.add_argument("--out", required=True, help="CSV output path")
-    p.add_argument("--repetitions", type=int, default=1)
-    p.add_argument("--nodes", type=int)
-    p.add_argument("--edges", type=int)
-    p.add_argument("--graph-file")
-    p.set_defaults(func=_cmd_bench)
 
     p = sub.add_parser("serve", help="run the TCP decision service")
     _add_system_flags(p)

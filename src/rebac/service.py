@@ -16,10 +16,12 @@ A malformed line (including JSON nested too deeply to decode) yields a
 longer than ``MAX_LINE_BYTES``, whose rest is read and discarded in
 bounded chunks.  Any other unexpected failure while serving a request is
 logged and yields an ``internal`` error response, so one bad request
-never ends the connection.  Each connection has its own handler thread;
-the graph is guarded by one reentrant mutex, so readers take it in turn
-and ``admin.exec`` holds it for its whole write transaction.  Replies are
-sent with Nagle's algorithm off, so pipelined requests are not delayed.
+never ends the connection.  A client that resets its connection with
+replies unread ends its handler quietly, without a traceback.  Each
+connection has its own handler thread; the graph is guarded by one
+reentrant mutex, so readers take it in turn and ``admin.exec`` holds it
+for its whole write transaction.  Replies are sent with Nagle's algorithm
+off, so pipelined requests are not delayed.
 """
 
 from __future__ import annotations
@@ -36,7 +38,6 @@ from . import admin, engine
 from .errors import PolicyError, RebacError
 from .graph import AuthorizationGraph
 from .policy import PolicyStore, guard_from_json
-from .rbac import RbacTables
 
 _log = logging.getLogger(__name__)
 
@@ -51,6 +52,12 @@ class _Handler(socketserver.StreamRequestHandler):
     disable_nagle_algorithm = True
 
     def handle(self):
+        try:
+            self._serve_lines()
+        except ConnectionError:
+            pass  # reset or broken pipe: the client is gone, so nothing to answer
+
+    def _serve_lines(self) -> None:
         server: PdpServer = self.server  # type: ignore[assignment]
         while raw := self.rfile.readline(MAX_LINE_BYTES + 1):
             start = time.perf_counter()
@@ -101,12 +108,10 @@ class PdpServer(socketserver.ThreadingTCPServer):
     daemon_threads = True
 
     def __init__(self, address: tuple[str, int], graph: AuthorizationGraph,
-                 store: PolicyStore, cfg: engine.EngineConfig | None = None,
-                 tables: RbacTables | None = None):
+                 store: PolicyStore, cfg: engine.EngineConfig | None = None):
         super().__init__(address, _Handler)
         self.graph = graph
         self.store = store
-        self.tables = tables if tables is not None else store.rbac
         self.cfg = cfg or engine.EngineConfig()
         self._thread: threading.Thread | None = None
 
@@ -138,13 +143,14 @@ class PdpServer(socketserver.ThreadingTCPServer):
                 user=self._field(request, "user"),
                 guard=guard_from_json(request["guard"]),
             )
-            return engine.check(self.store, self.graph, self.tables, req, self.cfg).to_json()
+            return engine.check(self.store, self.graph, self.store.rbac, req,
+                                self.cfg).to_json()
         if op == "filter":
             resources = request.get("resources", [])
             if not isinstance(resources, list):
                 raise PolicyError("'resources' must be a list")
             allowed = engine.filter_collection(
-                self.store, self.graph, self.tables,
+                self.store, self.graph, self.store.rbac,
                 self._field(request, "user"), guard_from_json(request["guard"]),
                 resources, self.cfg)
             return {"allowed": allowed}

@@ -270,13 +270,11 @@ def synth_graph(cfg: SynthConfig) -> AuthorizationGraph:
     return g
 
 
-def synth_policy(cfg: SynthConfig, tables: RbacTables | None = None
+def synth_policy(cfg: SynthConfig, tables: RbacTables
                  ) -> tuple[dict[str, str], dict[str, frozenset[str]], hl.FormulaLibrary]:
     """One principal per role, granting the role's privileges, matched by a
     uniformly chosen corpus formula.  Returns (matching rules,
     authorization rules, formula library)."""
-    if tables is None:
-        tables, _ = synth_rbac(cfg)
     rng = stream(cfg.seed, "policy")
     corpus_ids = [fid for fid, _ in FORMULA_CORPUS]
     matching: dict[str, str] = {}
@@ -289,23 +287,12 @@ def synth_policy(cfg: SynthConfig, tables: RbacTables | None = None
 
 
 def synth_requests(cfg: SynthConfig, guard_kind: str, *,
-                   users: Sequence[str] | None = None,
-                   patients: Sequence[str] | None = None,
-                   privileges: Sequence[str] | None = None,
+                   users: Sequence[str],
+                   patients: Sequence[str],
+                   privileges: Sequence[str],
                    count: int | None = None) -> list[AccessRequest]:
     """Request list for one guard kind: guards first, then the clinician
-    list, then the patient list; request i pairs clinician i with patient i.
-
-    Omitted populations are derived from the config (expensive: this
-    regenerates the graph and role tables).
-    """
-    if users is None or patients is None:
-        g = synth_graph(cfg)
-        kinds = g.vertices()
-        users = sorted(v for v, k in kinds.items() if k == "user")
-        patients = sorted(v for v, k in kinds.items() if k == "patient")
-    if privileges is None:
-        _, privileges = synth_rbac(cfg)
+    list, then the patient list; request i pairs clinician i with patient i."""
     n = count if count is not None else scaled(BASE_REQUESTS, cfg.scale)
     max_size = min(3, len(privileges))
 

@@ -1,19 +1,9 @@
-import csv
-
 import pytest
 
-from rebac.bench import (
-    CONFIGURATIONS,
-    CSV_COLUMNS,
-    BenchConfig,
-    run_bench,
-    run_suite,
-    write_csv,
-)
+from rebac.bench import CONFIGURATIONS, BenchConfig, run_bench
 from rebac.synth import GeneratedGraph, SynthConfig, synthesize
 
-BENCH_SOURCE = GeneratedGraph(500, 3000)
-BENCH_CFG = SynthConfig(seed=21, scale=0.1, graph_source=BENCH_SOURCE)
+BENCH_CFG = SynthConfig(seed=21, scale=0.1, graph_source=GeneratedGraph(500, 3000))
 
 
 @pytest.fixture(scope="module")
@@ -21,9 +11,8 @@ def workload():
     return synthesize(BENCH_CFG)
 
 
-def bench(name, workload, repetitions=1):
-    cfg = BenchConfig(name, BENCH_CFG.seed, BENCH_CFG.scale, repetitions, BENCH_SOURCE)
-    return run_bench(cfg, workload)
+def bench(name, workload):
+    return run_bench(BenchConfig(name, BENCH_CFG.seed, BENCH_CFG.scale), workload)
 
 
 def test_configuration_matrix_is_complete():
@@ -48,21 +37,16 @@ def test_unknown_configuration_rejected():
 def test_report_measures_second_half(workload):
     report = bench("RoOne", workload)
     total = len(workload.requests["one-of"])
-    assert report.first_index == total // 2
     assert len(report.latencies_us) == total - total // 2
-    assert len(report.allows) == len(report.latencies_us)
     assert len(report.allows_full) == total
     assert report.mean_us > 0
-    assert report.ci95_us >= 0
-
-    summary = report.summary()
-    assert "RoOne" in summary and "mean" in summary
 
 
-def test_decisions_stable_across_repetitions(workload):
-    single = bench("ReAllLzLib", workload)
-    repeated = bench("ReAllLzLib", workload, repetitions=2)
-    assert repeated.allows_full == single.allows_full
+@pytest.mark.parametrize("seed, scale", [(BENCH_CFG.seed + 1, BENCH_CFG.scale),
+                                         (BENCH_CFG.seed, 1.0)])
+def test_workload_must_match_seed_and_scale(workload, seed, scale):
+    with pytest.raises(ValueError):
+        run_bench(BenchConfig("RoOne", seed, scale), workload)
 
 
 def test_decision_invariance_between_strategies(workload):
@@ -80,36 +64,3 @@ def test_strict_allows_are_liberal_allows(workload):
     strict = bench("ReAllEgStr", workload)
     for s, l in zip(strict.allows_full, liberal.allows_full):
         assert l or not s
-
-
-def test_run_suite_shares_one_workload(tmp_path):
-    reports = run_suite(["RoOne", "ReOneLz"], BENCH_CFG)
-    assert [r.configuration for r in reports] == ["RoOne", "ReOneLz"]
-
-
-def test_csv_schema(tmp_path, workload):
-    reports = [bench("RoOne", workload), bench("ReAllLzStr", workload)]
-    out = tmp_path / "bench.csv"
-    write_csv(reports, out)
-    with open(out, newline="") as fh:
-        rows = list(csv.reader(fh))
-    assert tuple(rows[0]) == CSV_COLUMNS
-    measured = len(reports[0].latencies_us)
-    assert len(rows) == 1 + 2 * (measured + 1)
-    summaries = [r for r in rows if r[1] == "summary"]
-    assert [r[0] for r in summaries] == ["RoOne", "ReAllLzStr"]
-    for row in rows[1:]:
-        assert len(row) == len(CSV_COLUMNS)
-        if row[1] != "summary":
-            assert row[2] in ("0", "1")
-            float(row[3])
-
-
-def test_csv_schema_stable_under_seed_change(tmp_path):
-    alt_cfg = SynthConfig(seed=22, scale=0.1, graph_source=BENCH_SOURCE)
-    reports = run_suite(["RoOne"], alt_cfg)
-    out = tmp_path / "alt.csv"
-    write_csv(reports, out)
-    with open(out, newline="") as fh:
-        header = next(csv.reader(fh))
-    assert tuple(header) == CSV_COLUMNS

@@ -164,16 +164,6 @@ class TestSynthAndBench:
         lines = capsys.readouterr().out.splitlines()
         assert [line.split(":")[0] for line in lines] == ["error bangs", "error parens"]
 
-    def test_bench_writes_csv(self, tmp_path, capsys):
-        out = tmp_path / "bench.csv"
-        code = main(["bench", "--config", "ReAllLzLib", "--seed", "6",
-                     "--scale", "0.1", "--nodes", "300", "--edges", "1500",
-                     "--out", str(out)])
-        assert code == 0
-        header = out.read_text().splitlines()[0]
-        assert header == "config,request_index,allow,latency_us,formula_evals,cache_hits"
-        assert "ReAllLzLib" in capsys.readouterr().out
-
 
 def _free_port() -> int:
     with socket.socket() as s:

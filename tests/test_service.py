@@ -1,6 +1,7 @@
 import json
 import socket
 import statistics
+import struct
 import threading
 import time
 
@@ -134,6 +135,27 @@ class TestProtocol:
                 rounds.append(time.perf_counter() - start)
                 assert got == expected
         assert statistics.median(rounds) < 0.020
+
+    def test_client_reset_is_not_a_handler_error(self, server, monkeypatch):
+        errors = []
+        closed = threading.Event()
+        shutdown_request = server.shutdown_request
+
+        def record_shutdown(request):
+            shutdown_request(request)
+            closed.set()
+
+        monkeypatch.setattr(server, "handle_error", lambda *args: errors.append(args))
+        monkeypatch.setattr(server, "shutdown_request", record_shutdown)
+        sock = socket.create_connection(server.address, timeout=10)
+        sock.sendall(match_line("d1") * 200)
+        # close with replies unread and linger 0: the kernel sends a reset
+        sock.setsockopt(socket.SOL_SOCKET, socket.SO_LINGER, struct.pack("ii", 1, 0))
+        sock.close()
+        assert closed.wait(10)
+        assert errors == []
+        with client_for(server) as c:
+            assert c.call(json.loads(match_line("d1")))["ok"] is True
 
     def test_unexpected_failure_is_internal_error(self, server, monkeypatch):
         def broken(request):
