@@ -15,7 +15,7 @@ from .errors import RebacError
 from .graph import AuthorizationGraph, load_graph, save_graph
 from .hl import Formula, evaluate, parse, relationship_predicate, unparse
 from .policy import Guard, PolicyStore, attach_policy, load_policy, satisfies, validate
-from .rbac import RbacTables, rbac_check, rbac_privileges
+from .rbac import RbacTables, rbac_privileges
 
 __all__ = [
     "AccessRequest",
@@ -36,7 +36,6 @@ __all__ = [
     "load_graph",
     "load_policy",
     "parse",
-    "rbac_check",
     "rbac_privileges",
     "relationship_predicate",
     "satisfies",

@@ -18,8 +18,6 @@ from typing import TYPE_CHECKING, Mapping
 
 from . import hl
 from .errors import (
-    AddExistingEdge,
-    DeleteMissingEdge,
     EvaluationError,
     NotApplicable,
     NotEnabled,
@@ -27,7 +25,6 @@ from .errors import (
     RebacError,
     UnboundParticipant,
     UnknownAction,
-    UnknownVertex,
 )
 from .graph import ACCESS_CONTROL, AuthorizationGraph
 
@@ -98,9 +95,11 @@ def execute_action(store: "PolicyStore", graph: AuthorizationGraph,
     """Run one administrative action atomically.
 
     Inside one exclusive write transaction: re-evaluate the enabling and
-    applicability preconditions, validate every effect against the
-    pre-state (add requires absence, del requires presence), then apply.
-    Any failure leaves the graph exactly as it was.
+    applicability preconditions, check that every effect targets an
+    access-control relation, then apply the effects in order.  The graph
+    rejects an add of a present edge, a del of a missing one and an
+    unknown vertex; on any failure the applied effects are undone in
+    reverse, so the graph is left exactly as it was.
     """
     decl = store.admin_actions.get(action_id)
     if decl is None:
@@ -116,23 +115,9 @@ def execute_action(store: "PolicyStore", graph: AuthorizationGraph,
             raise NotApplicable(action_id)
 
         resolved = [(u.op, u.rel, binding[u.x], binding[u.y]) for u in decl.effects]
-
-        # Full validation pass before any mutation.  The overlay tracks the
-        # in-flight effect sequence so aliased bindings (two participants
-        # bound to one vertex) are caught here instead of mid-apply.
-        overlay: dict[tuple[str, str, str], bool] = {}
-        for op, rel, s, d in resolved:
+        for _, rel, _, _ in resolved:
             if graph.relation_category(rel) != ACCESS_CONTROL:
                 raise PolicyError(f"{action_id}: effect relation {rel!r} is not access-control")
-            for v in (s, d):
-                if not graph.has_vertex(v):
-                    raise UnknownVertex(v)
-            exists = overlay.get((rel, s, d), graph.has_edge(s, rel, d))
-            if op == "add" and exists:
-                raise AddExistingEdge(f"{action_id}: edge ({s}, {rel}, {d}) already present")
-            if op == "del" and not exists:
-                raise DeleteMissingEdge(f"{action_id}: edge ({s}, {rel}, {d}) not present")
-            overlay[(rel, s, d)] = op == "add"
 
         applied: list[tuple[str, str, str, str]] = []
         try:

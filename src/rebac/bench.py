@@ -10,10 +10,10 @@ grant semantics:
     ReAllLzLib / ReAllLzStr  all-of guards, lazy, liberal / strict
 
 A run replays a synthesized request list in order after 250 distinct
-neighbor-retrieval warmup queries; the first half of the requests is
-further warmup and only the second half is timed.  The report holds every
-decision, plus the latency and predicate-evaluation count of each timed
-request.
+neighbor-retrieval warmup queries, drawn from the workload's own seed;
+the first half of the requests is further warmup and only the second
+half is timed.  The report holds every decision, plus the latency and
+predicate-evaluation count of each timed request.
 
 Runs are single-threaded; the timer wraps the check call only.  The
 benchmark behind performance claims is ``perfbench/run.py``.
@@ -43,26 +43,6 @@ CONFIGURATIONS: dict[str, tuple[str, str, str, str]] = {
     "ReAllLzLib": ("rebac-only", "all-of", "lazy", "liberal"),
     "ReAllLzStr": ("rebac-only", "all-of", "lazy", "strict"),
 }
-
-
-@dataclass(frozen=True)
-class BenchConfig:
-    configuration: str
-    seed: int
-    scale: float = 1.0  # names the workload; run_bench checks it matches
-
-    def __post_init__(self):
-        if self.configuration not in CONFIGURATIONS:
-            raise ValueError(f"unknown configuration {self.configuration!r}; "
-                             f"choose from {sorted(CONFIGURATIONS)}")
-
-    def engine_config(self) -> EngineConfig:
-        mode, _, strategy, semantics = CONFIGURATIONS[self.configuration]
-        return EngineConfig(semantics=semantics, strategy=strategy, mode=mode)
-
-    @property
-    def guard_kind(self) -> str:
-        return CONFIGURATIONS[self.configuration][1]
 
 
 @dataclass
@@ -96,19 +76,18 @@ def run_warmup(graph: AuthorizationGraph, seed: int) -> int:
     return total
 
 
-def run_bench(cfg: BenchConfig, workload: SynthesizedWorkload) -> BenchReport:
-    """Execute one configuration on a workload synthesized with the
-    config's seed and scale."""
-    if (workload.cfg.seed, workload.cfg.scale) != (cfg.seed, cfg.scale):
-        raise ValueError(f"workload has seed {workload.cfg.seed} and scale "
-                         f"{workload.cfg.scale}; {cfg.configuration} asks for "
-                         f"seed {cfg.seed} and scale {cfg.scale}")
-    requests = workload.requests[cfg.guard_kind]
-    engine_cfg = cfg.engine_config()
+def run_bench(configuration: str, workload: SynthesizedWorkload) -> BenchReport:
+    """Execute one named configuration on a synthesized workload."""
+    if configuration not in CONFIGURATIONS:
+        raise ValueError(f"unknown configuration {configuration!r}; "
+                         f"choose from {sorted(CONFIGURATIONS)}")
+    mode, guard_kind, strategy, semantics = CONFIGURATIONS[configuration]
+    requests = workload.requests[guard_kind]
+    engine_cfg = EngineConfig(semantics=semantics, strategy=strategy, mode=mode)
     graph, store, tables = workload.graph, workload.store, workload.store.rbac
     first_measured = len(requests) // 2
 
-    run_warmup(graph, cfg.seed)
+    run_warmup(graph, workload.cfg.seed)
     report = BenchReport()
     for i, req in enumerate(requests):
         start = time.perf_counter()

@@ -125,8 +125,12 @@ def _cmd_synth(args) -> int:
 
 def _cmd_serve(args) -> int:
     graph, store = _load_system(args)
+    host, _, port = args.listen.rpartition(":")
+    server = service.PdpServer((host or "127.0.0.1", int(port)), graph, store,
+                               _engine_config(args))
     print(f"listening on {args.listen}", file=sys.stderr)
-    service.serve(args.listen, graph, store, _engine_config(args))
+    with server:
+        server.serve_forever()
     return 0
 
 
@@ -135,6 +139,8 @@ def _cmd_fmt_check(args) -> int:
     {id, vars, text} or a policy document's 'formulas' key)."""
     doc = json.loads(Path(args.file).read_text(encoding="utf-8"))
     entries = doc.get("formulas", []) if isinstance(doc, dict) else doc
+    if not isinstance(entries, list):
+        raise PolicyError("formulas must be a list")
     failures = 0
     for i, entry in enumerate(entries):
         fid = entry.get("id", f"#{i}") if isinstance(entry, dict) else f"#{i}"
@@ -224,10 +230,7 @@ def main(argv: list[str] | None = None) -> int:
     args = _build_parser().parse_args(argv)
     try:
         return args.func(args)
-    except RebacError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
-    except OSError as exc:
+    except (RebacError, OSError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
 

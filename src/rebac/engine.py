@@ -68,43 +68,43 @@ def _match(store: PolicyStore, graph: AuthorizationGraph, resource: str, user: s
            guard: Guard | None, lazy: bool, strict: bool) -> Decision:
     """The one principal-matching loop.  Allow once the pooled grants
     (liberal) or the enabled principal's own grants (strict) satisfy the
-    guard; with ``guard=None`` an eager pass only collects the enabled set."""
+    guard; with ``guard=None`` an eager pass only collects the enabled set.
+    The caller holds the graph's read section."""
     memo: dict[str, bool] = {}
     evaluations = hits = considered = 0
     enabled: list[str] = []
     pooled: set[str] = set()
     allow = False
-    with graph.read():
-        for ap in sorted(store.matching_rules):
-            considered += 1
-            grants = store.authorization_rules.get(ap, frozenset())
-            if lazy and not (satisfies(grants, guard) if strict
-                             else (grants - pooled) & guard.privileges):
-                continue
-            fid = store.matching_rules[ap]
-            # Under lazy strict a memo hit is always False: a true
-            # predicate would already have allowed the request.
-            if fid in memo:
-                hits += 1
-            else:
-                formula = store.formulas.get(fid)
-                if formula is None:
-                    raise EvaluationError(ap, KeyError(f"unknown formula {fid!r}"))
-                try:
-                    memo[fid] = hl.relationship_predicate(formula, graph, resource, user)
-                except RebacError as exc:
-                    raise EvaluationError(ap, exc) from exc
-                evaluations += 1
-            if not memo[fid]:
-                continue
-            enabled.append(ap)
-            if guard is None:
-                continue
-            pooled |= grants
-            if satisfies(grants if strict else pooled, guard):
-                allow = True
-                if lazy:
-                    break
+    for ap in sorted(store.matching_rules):
+        considered += 1
+        grants = store.authorization_rules.get(ap, frozenset())
+        if lazy and not (satisfies(grants, guard) if strict
+                         else (grants - pooled) & guard.privileges):
+            continue
+        fid = store.matching_rules[ap]
+        # Under lazy strict a memo hit is always False: a true
+        # predicate would already have allowed the request.
+        if fid in memo:
+            hits += 1
+        else:
+            formula = store.formulas.get(fid)
+            if formula is None:
+                raise EvaluationError(ap, KeyError(f"unknown formula {fid!r}"))
+            try:
+                memo[fid] = hl.relationship_predicate(formula, graph, resource, user)
+            except RebacError as exc:
+                raise EvaluationError(ap, exc) from exc
+            evaluations += 1
+        if not memo[fid]:
+            continue
+        enabled.append(ap)
+        if guard is None:
+            continue
+        pooled |= grants
+        if satisfies(grants if strict else pooled, guard):
+            allow = True
+            if lazy:
+                break
     return Decision(allow, Trace(considered, evaluations, hits,
                                  None if lazy else frozenset(enabled)))
 
@@ -113,28 +113,9 @@ def enabled_principals(store: PolicyStore, graph: AuthorizationGraph,
                        resource: str, user: str) -> set[str]:
     """Exactly the principals whose relationship predicate holds for
     (resource, user); each distinct formula is evaluated at most once."""
-    return set(_match(store, graph, resource, user, None, lazy=False,
-                      strict=False).trace.enabled_principals)
-
-
-def check_eager_liberal(store: PolicyStore, graph: AuthorizationGraph,
-                        req: AccessRequest) -> Decision:
-    return _match(store, graph, req.resource, req.user, req.guard, lazy=False, strict=False)
-
-
-def check_eager_strict(store: PolicyStore, graph: AuthorizationGraph,
-                       req: AccessRequest) -> Decision:
-    return _match(store, graph, req.resource, req.user, req.guard, lazy=False, strict=True)
-
-
-def check_lazy_liberal(store: PolicyStore, graph: AuthorizationGraph,
-                       req: AccessRequest) -> Decision:
-    return _match(store, graph, req.resource, req.user, req.guard, lazy=True, strict=False)
-
-
-def check_lazy_strict(store: PolicyStore, graph: AuthorizationGraph,
-                      req: AccessRequest) -> Decision:
-    return _match(store, graph, req.resource, req.user, req.guard, lazy=True, strict=True)
+    with graph.read():
+        return set(_match(store, graph, resource, user, None, lazy=False,
+                          strict=False).trace.enabled_principals)
 
 
 def check(store: PolicyStore, graph: AuthorizationGraph, tables: RbacTables,

@@ -23,7 +23,8 @@ from __future__ import annotations
 
 import os
 import re
-import tempfile
+import secrets
+import stat
 import threading
 from contextlib import contextmanager
 from typing import Iterable, Iterator, Mapping
@@ -102,12 +103,6 @@ class AuthorizationGraph:
 
     def has_vertex(self, vid: str) -> bool:
         return vid in self._vertices
-
-    def kind_of(self, vid: str) -> str:
-        try:
-            return self._vertices[vid]
-        except KeyError:
-            raise UnknownVertex(vid) from None
 
     def vertices(self) -> dict[str, str]:
         with self.read():
@@ -293,12 +288,22 @@ def load_graph_file(path) -> AuthorizationGraph:
 
 def save_graph_file(g: AuthorizationGraph, path) -> None:
     """Atomically replace ``path`` with the saved graph: write a temp file
-    in the same directory, then rename it over the target."""
+    in the same directory, then rename it over the target.
+
+    An existing target keeps its permission bits; a new one gets the mode
+    ``open(path, "w")`` would give it, 0o666 less the umask."""
     directory = os.path.dirname(os.path.abspath(path))
-    fd, tmp = tempfile.mkstemp(dir=directory, suffix=".tmp")
+    try:
+        mode = stat.S_IMODE(os.stat(path).st_mode)
+    except FileNotFoundError:
+        mode = None
+    tmp = os.path.join(directory, f"{os.path.basename(path)}.{secrets.token_hex(8)}.tmp")
+    fd = os.open(tmp, os.O_WRONLY | os.O_CREAT | os.O_EXCL, 0o666)
     try:
         with os.fdopen(fd, "w", encoding="utf-8") as fh:
             fh.write(save_graph(g))
+        if mode is not None:
+            os.chmod(tmp, mode)
         os.replace(tmp, path)
     except BaseException:
         if os.path.exists(tmp):

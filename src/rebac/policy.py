@@ -31,15 +31,13 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass, field
-from typing import AbstractSet, Iterable, Mapping, TYPE_CHECKING
+from typing import AbstractSet, Iterable, Mapping
 
 from . import hl
 from .admin import PRIMARY_PARTICIPANTS, AdminActionDecl, Update
 from .errors import PolicyError, RebacError
 from .graph import ACCESS_CONTROL, RELATION_CATEGORIES, AuthorizationGraph
-
-if TYPE_CHECKING:
-    from .rbac import RbacTables
+from .rbac import RbacTables, empty_tables
 
 ONE_OF = "one-of"
 ALL_OF = "all-of"
@@ -104,15 +102,10 @@ class PolicyStore:
     formulas: hl.FormulaLibrary = field(default_factory=dict)
     matching_rules: dict[str, str] = field(default_factory=dict)
     authorization_rules: dict[str, frozenset[str]] = field(default_factory=dict)
-    rbac: "RbacTables | None" = None
+    rbac: RbacTables = field(default_factory=empty_tables)
     admin_actions: dict[str, AdminActionDecl] = field(default_factory=dict)
     owners: dict[str, tuple[str, ...]] = field(default_factory=dict)
     load_issues: list[Diagnostic] = field(default_factory=list)
-
-    def __post_init__(self):
-        if self.rbac is None:
-            from .rbac import empty_tables
-            self.rbac = empty_tables()
 
 
 def _entries(doc: Mapping, key: str) -> Iterable[Mapping]:
@@ -208,7 +201,6 @@ def load_policy(doc: Mapping) -> PolicyStore:
     for entry in _entries(rbac_doc, "user_roles"):
         user = _str_field(entry, "user", "rbac.user_roles")
         user_assignment[user] = frozenset(_str_list(entry, "roles", "rbac.user_roles"))
-    from .rbac import RbacTables
     tables = RbacTables(frozenset(privilege_assignment), privilege_assignment, user_assignment)
 
     actions: dict[str, AdminActionDecl] = {}

@@ -1,16 +1,14 @@
-"""Flat RBAC baseline: role tables and guard checks against granted roles.
+"""Flat RBAC baseline: role tables and the privileges they grant.
 
 No role hierarchy (roles arrive pre-flattened) and no sessions: every
-role assigned to a user counts as active on every request.
+role assigned to a user counts as active on every request.  The role
+check itself is ``engine.check`` in ``rbac-only`` mode.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from typing import Mapping
-
-from .decision import Decision, Trace
-from .policy import Guard, satisfies
 
 
 @dataclass(frozen=True)
@@ -34,6 +32,3 @@ def rbac_privileges(tables: RbacTables, user: str) -> frozenset[str]:
         granted |= tables.privilege_assignment.get(role, frozenset())
     return frozenset(granted)
 
-
-def rbac_check(tables: RbacTables, user: str, guard: Guard) -> Decision:
-    return Decision(allow=satisfies(rbac_privileges(tables, user), guard), trace=Trace())

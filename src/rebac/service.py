@@ -187,15 +187,6 @@ class PdpServer(socketserver.ThreadingTCPServer):
         return value
 
 
-def serve(listen: str, graph: AuthorizationGraph, store: PolicyStore,
-          cfg: engine.EngineConfig | None = None) -> None:
-    """Blocking entry point: ``listen`` is ``host:port``."""
-    host, _, port = listen.rpartition(":")
-    server = PdpServer((host or "127.0.0.1", int(port)), graph, store, cfg)
-    with server:
-        server.serve_forever()
-
-
 class PdpClient:
     """Minimal line-oriented client, mainly for tests and scripting."""
 

@@ -43,7 +43,7 @@ from typing import Sequence, Union
 from . import hl
 from .engine import AccessRequest
 from .errors import InfeasibleScale
-from .graph import USER_MANAGED, AuthorizationGraph, save_graph
+from .graph import USER_MANAGED, AuthorizationGraph, save_graph_file
 from .policy import Guard, PolicyStore
 from .prng import Xoshiro256, stream
 from .rbac import RbacTables
@@ -393,7 +393,7 @@ def write_fixture(workload: SynthesizedWorkload, outdir) -> list[Path]:
     paths = []
 
     graph_path = out / "graph.txt"
-    graph_path.write_text(save_graph(workload.graph), encoding="utf-8")
+    save_graph_file(workload.graph, graph_path)
     paths.append(graph_path)
 
     policy_path = out / "policy.json"

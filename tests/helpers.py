@@ -1,5 +1,5 @@
-"""Shared test machinery: the brute-force model-checking oracle and random
-graph/formula generators.
+"""Shared test machinery: the brute-force model-checking oracle, random
+graph/formula generators, and relationship-only decisions.
 
 The oracle computes, bottom-up, the full satisfaction set of every
 subformula over all worlds; an anchored formula holds iff its set is the
@@ -11,8 +11,11 @@ from __future__ import annotations
 
 import random
 
+from rebac.decision import Decision
+from rebac.engine import AccessRequest, EngineConfig, check
 from rebac.graph import USER_MANAGED, AuthorizationGraph
 from rebac.hl import And, At, Const, Diamond, Formula, Node, Not, Or, Var
+from rebac.policy import PolicyStore
 
 
 def satisfaction_set(node: Node, g: AuthorizationGraph, valuation: dict[str, str],
@@ -109,3 +112,10 @@ def random_formula(rng: random.Random, relations: list[str], depth: int = 5,
 def random_valuation(rng: random.Random, vars: tuple[str, ...],
                      vertices: list[str]) -> dict[str, str]:
     return {v: rng.choice(vertices) for v in vars}
+
+
+def rebac_decision(store: PolicyStore, graph: AuthorizationGraph, req: AccessRequest,
+                   strategy: str, semantics: str) -> Decision:
+    """``engine.check`` in relationship-only mode."""
+    cfg = EngineConfig(semantics=semantics, strategy=strategy, mode="rebac-only")
+    return check(store, graph, store.rbac, req, cfg)

@@ -17,16 +17,8 @@ import pytest
 
 from rebac import hl
 from rebac.admin import execute_action
-from rebac.bench import BenchConfig, run_bench, run_warmup
-from rebac.engine import (
-    AccessRequest,
-    EngineConfig,
-    check,
-    check_eager_liberal,
-    check_eager_strict,
-    check_lazy_liberal,
-    check_lazy_strict,
-)
+from rebac.bench import run_bench, run_warmup
+from rebac.engine import SEMANTICS, AccessRequest, EngineConfig, check
 from rebac.errors import AddExistingEdge
 from rebac.graph import AuthorizationGraph
 from rebac.policy import Guard, PolicyStore
@@ -42,7 +34,13 @@ from rebac.synth import (
 )
 
 from .conftest import build_referral_system
-from .helpers import brute_force_evaluate, random_formula, random_graph, random_valuation
+from .helpers import (
+    brute_force_evaluate,
+    random_formula,
+    random_graph,
+    random_valuation,
+    rebac_decision,
+)
 from .test_admin import BATCH_BINDING, build_batch_system, inject_fault_at
 
 SEED = 1_009
@@ -91,8 +89,8 @@ def test_criterion_01_model_checker_matches_bruteforce_oracle():
     report(1, f"{cases} random instances, 0 mismatches, {elapsed:.1f}s")
 
 
-def _decisions(store, graph, requests, checker):
-    return [checker(store, graph, req).allow for req in requests]
+def _decisions(store, graph, requests, strategy, semantics):
+    return [rebac_decision(store, graph, req, strategy, semantics).allow for req in requests]
 
 
 def test_criterion_02_lazy_and_eager_decide_identically(tenth_workload):
@@ -101,10 +99,9 @@ def test_criterion_02_lazy_and_eager_decide_identically(tenth_workload):
     total = 0
     for kind in ("one-of", "all-of"):
         corpus = requests[kind]
-        for eager, lazy in [(check_eager_liberal, check_lazy_liberal),
-                            (check_eager_strict, check_lazy_strict)]:
-            assert _decisions(store, graph, corpus, eager) == \
-                _decisions(store, graph, corpus, lazy)
+        for semantics in SEMANTICS:
+            assert _decisions(store, graph, corpus, "eager", semantics) == \
+                _decisions(store, graph, corpus, "lazy", semantics)
             total += len(corpus)
     report(2, f"{total} request/semantics combinations, 0 strategy mismatches")
 
@@ -112,12 +109,12 @@ def test_criterion_02_lazy_and_eager_decide_identically(tenth_workload):
 def test_criterion_03_containment_and_one_of_agreement(tenth_workload):
     workload, requests = tenth_workload
     store, graph = workload.store, workload.graph
-    liberal = _decisions(store, graph, requests["all-of"], check_eager_liberal)
-    strict = _decisions(store, graph, requests["all-of"], check_eager_strict)
+    liberal = _decisions(store, graph, requests["all-of"], "eager", "liberal")
+    strict = _decisions(store, graph, requests["all-of"], "eager", "strict")
     for lib, stc in zip(liberal, strict):
         assert lib or not stc, "strict granted where liberal denied"
-    one_lib = _decisions(store, graph, requests["one-of"], check_eager_liberal)
-    one_str = _decisions(store, graph, requests["one-of"], check_eager_strict)
+    one_lib = _decisions(store, graph, requests["one-of"], "eager", "liberal")
+    one_str = _decisions(store, graph, requests["one-of"], "eager", "strict")
     assert one_lib == one_str
     report(3, f"containment on {len(strict)} all-of requests "
               f"({sum(strict)} strict allows within {sum(liberal)} liberal); "
@@ -136,13 +133,13 @@ def test_criterion_04_pooling_counterexample():
         authorization_rules={"AP1": frozenset({"p1"}), "AP2": frozenset({"p2"})},
     )
     req = AccessRequest("r", "u", Guard.all_of("p1", "p2"))
-    liberal = check_eager_liberal(store, g, req)
-    strict = check_eager_strict(store, g, req)
+    liberal = rebac_decision(store, g, req, "eager", "liberal")
+    strict = rebac_decision(store, g, req, "eager", "strict")
     assert liberal.trace.enabled_principals == {"AP1", "AP2"}
     assert liberal.allow is True
     assert strict.allow is False
-    assert check_lazy_liberal(store, g, req).allow is True
-    assert check_lazy_strict(store, g, req).allow is False
+    assert rebac_decision(store, g, req, "lazy", "liberal").allow is True
+    assert rebac_decision(store, g, req, "lazy", "strict").allow is False
     report(4, "two enabled principals pooling {p1},{p2}: liberal allows, strict denies")
 
 
@@ -151,7 +148,7 @@ def suite_reports(desk_workload):
     names = ["RoOne", "RoAll", "ReOneEg", "ReOneLz",
              "ReAllEgLib", "ReAllEgStr", "ReAllLzLib", "ReAllLzStr"]
     return {
-        name: run_bench(BenchConfig(name, SEED, 1.0), desk_workload)
+        name: run_bench(name, desk_workload)
         for name in names
     }
 

@@ -189,6 +189,26 @@ class TestAtomicity:
         assert graph.edge_set() == snapshot
         assert not graph.has_edge("p", "ac-a", "h")
 
+    def test_aliased_participants_fail_and_roll_back(self):
+        # two auxiliary participants bound to one vertex: the second add
+        # meets the edge the first one just made
+        doc = copy.deepcopy(BATCH_POLICY)
+        doc["formulas"][1]["vars"].append("other")
+        action = doc["admin_actions"][0]
+        action["participants"].append("other")
+        action["effects"] = [
+            {"op": "add", "rel": "ac-a", "x": "patient", "y": "helper"},
+            {"op": "add", "rel": "ac-a", "x": "patient", "y": "other"},
+        ]
+        graph = load_graph(BATCH_GRAPH)
+        store = load_policy(doc)
+        assert validate(store) == []
+        attach_policy(graph, store)
+        snapshot = graph.edge_set()
+        with pytest.raises(AddExistingEdge):
+            execute_action(store, graph, "Batch", {**BATCH_BINDING, "other": "h"})
+        assert graph.edge_set() == snapshot
+
     def test_only_access_control_relations_change(self):
         graph, store = build_batch_system()
         def non_ac(g):

@@ -165,6 +165,32 @@ class TestSynthAndBench:
         assert [line.split(":")[0] for line in lines] == ["error bangs", "error parens"]
 
 
+MALFORMED = ["fmt-invalid-json", "fmt-formulas-not-a-list", "graph-not-utf8",
+             "policy-not-utf8", "synth-scale-zero", "serve-bad-listen"]
+
+
+@pytest.mark.parametrize("case", MALFORMED)
+def test_malformed_input_is_an_error_not_a_traceback(fixture_dir, capsys, case):
+    bad = fixture_dir / "bad"
+    bad.write_bytes({"fmt-invalid-json": b"{not json",
+                     "fmt-formulas-not-a-list": b'{"formulas": 5}'}.get(case, b"\xff\xfe\n"))
+    graph, policy = str(fixture_dir / "graph.txt"), str(fixture_dir / "policy.json")
+    request = ["--resource", "rec1", "--user", "d1", "--guard", GUARD]
+    argv = {
+        "fmt-invalid-json": ["fmt", "check", str(bad)],
+        "fmt-formulas-not-a-list": ["fmt", "check", str(bad)],
+        "graph-not-utf8": ["check", "--graph", str(bad), "--policy", policy, *request],
+        "policy-not-utf8": ["check", "--graph", graph, "--policy", str(bad), *request],
+        "synth-scale-zero": ["synth", "--seed", "1", "--scale", "0",
+                             "--out", str(fixture_dir / "out")],
+        "serve-bad-listen": ["serve", *system_args(fixture_dir), "--listen", "nope"],
+    }[case]
+    assert main(argv) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error:")
+    assert "Traceback" not in err
+
+
 def _free_port() -> int:
     with socket.socket() as s:
         s.bind(("127.0.0.1", 0))

@@ -4,13 +4,11 @@ import pytest
 
 from rebac import hl
 from rebac.engine import (
+    SEMANTICS,
+    STRATEGIES,
     AccessRequest,
     EngineConfig,
     check,
-    check_eager_liberal,
-    check_eager_strict,
-    check_lazy_liberal,
-    check_lazy_strict,
     enabled_principals,
     filter_collection,
 )
@@ -19,20 +17,9 @@ from rebac.graph import ACCESS_CONTROL, AuthorizationGraph
 from rebac.policy import Guard, PolicyStore, load_policy
 from rebac.rbac import RbacTables, empty_tables
 
-from .helpers import random_formula, random_graph
+from .helpers import random_formula, random_graph, rebac_decision
 
-REBAC_ONLY = {
-    ("eager", "liberal"): check_eager_liberal,
-    ("eager", "strict"): check_eager_strict,
-    ("lazy", "liberal"): check_lazy_liberal,
-    ("lazy", "strict"): check_lazy_strict,
-}
-
-
-def untimed(decision):
-    out = decision.to_json()
-    out["trace"].pop("elapsed_us")
-    return out
+REBAC_ONLY = [(strategy, semantics) for strategy in STRATEGIES for semantics in SEMANTICS]
 
 
 def treating_clinician_system():
@@ -104,7 +91,8 @@ class TestEnabledPrincipals:
         store = const_store({"a": (True, frozenset({"p1"})),
                              "b": (True, frozenset({"p2"}))})
         g = one_vertex_graph()
-        d = check_eager_liberal(store, g, AccessRequest("r", "u", Guard.one_of("p1")))
+        req = AccessRequest("r", "u", Guard.one_of("p1"))
+        d = rebac_decision(store, g, req, "eager", "liberal")
         assert d.trace.enabled_principals == {"a", "b"}
         assert d.trace.formulas_evaluated == 1
         assert d.trace.cache_hits == 1
@@ -128,24 +116,24 @@ class TestGrantSemantics:
                              "ap2": (True, frozenset({"p2"}))})
         g = one_vertex_graph()
         req = AccessRequest("r", "u", Guard.all_of("p1", "p2"))
-        assert check_eager_liberal(store, g, req).allow is True
-        assert check_eager_strict(store, g, req).allow is False
-        assert check_lazy_liberal(store, g, req).allow is True
-        assert check_lazy_strict(store, g, req).allow is False
+        assert rebac_decision(store, g, req, "eager", "liberal").allow is True
+        assert rebac_decision(store, g, req, "eager", "strict").allow is False
+        assert rebac_decision(store, g, req, "lazy", "liberal").allow is True
+        assert rebac_decision(store, g, req, "lazy", "strict").allow is False
 
     def test_no_enabled_principals_denies(self):
         store = const_store({"ap1": (False, frozenset({"p1"}))})
         g = one_vertex_graph()
         req = AccessRequest("r", "u", Guard.one_of("p1"))
-        for fn in REBAC_ONLY.values():
-            assert fn(store, g, req).allow is False
+        for strategy, semantics in REBAC_ONLY:
+            assert rebac_decision(store, g, req, strategy, semantics).allow is False
 
     def test_single_principal_satisfies_strict(self):
         store = const_store({"ap1": (True, frozenset({"p1", "p2", "p3"}))})
         g = one_vertex_graph()
         req = AccessRequest("r", "u", Guard.all_of("p1", "p2"))
-        assert check_eager_strict(store, g, req).allow is True
-        assert check_lazy_strict(store, g, req).allow is True
+        assert rebac_decision(store, g, req, "eager", "strict").allow is True
+        assert rebac_decision(store, g, req, "lazy", "strict").allow is True
 
     def test_one_of_guards_agree_across_semantics(self):
         store = const_store({"ap1": (True, frozenset({"p1"})),
@@ -154,9 +142,9 @@ class TestGrantSemantics:
         g = one_vertex_graph()
         for privs in (("p1",), ("p2",), ("p1", "p2"), ("p9",)):
             req = AccessRequest("r", "u", Guard.one_of(*privs))
-            liberal = check_eager_liberal(store, g, req).allow
-            assert check_eager_strict(store, g, req).allow == liberal
-            assert check_lazy_strict(store, g, req).allow == liberal
+            liberal = rebac_decision(store, g, req, "eager", "liberal").allow
+            assert rebac_decision(store, g, req, "eager", "strict").allow == liberal
+            assert rebac_decision(store, g, req, "lazy", "strict").allow == liberal
 
 
 class TestLaziness:
@@ -166,7 +154,7 @@ class TestLaziness:
                              "ap-b": (True, frozenset({"p1"}))})
         g = one_vertex_graph()
         req = AccessRequest("r", "u", Guard.one_of("p1"))
-        lazy = check_lazy_liberal(store, g, req)
+        lazy = rebac_decision(store, g, req, "lazy", "liberal")
         assert lazy.allow is True
         assert lazy.trace.formulas_evaluated == 1
 
@@ -174,10 +162,10 @@ class TestLaziness:
         store = const_store({f"ap{i}": (True, frozenset({"p1"})) for i in range(5)})
         g = one_vertex_graph()
         req = AccessRequest("r", "u", Guard.one_of("p1"))
-        lazy = check_lazy_liberal(store, g, req)
+        lazy = rebac_decision(store, g, req, "lazy", "liberal")
         assert lazy.allow is True
         assert lazy.trace.principals_considered == 1
-        eager = check_eager_liberal(store, g, req)
+        eager = rebac_decision(store, g, req, "eager", "liberal")
         assert eager.trace.principals_considered == 5
 
     def test_lazy_strict_reuses_false_evaluations(self):
@@ -185,7 +173,7 @@ class TestLaziness:
                              "ap2": (False, frozenset({"p1"}))})
         g = one_vertex_graph()
         req = AccessRequest("r", "u", Guard.one_of("p1"))
-        d = check_lazy_strict(store, g, req)
+        d = rebac_decision(store, g, req, "lazy", "strict")
         assert d.allow is False
         assert d.trace.formulas_evaluated == 1
         assert d.trace.cache_hits == 1
@@ -216,10 +204,7 @@ class TestRandomizedEquivalence:
 
     def test_strategies_agree_and_lazy_does_less_work(self):
         for store, g, req in self.run_cases(400, seed=2024):
-            decisions = {key: fn(store, g, req) for key, fn in REBAC_ONLY.items()}
-            for (strategy, semantics), direct in decisions.items():
-                cfg = EngineConfig(semantics=semantics, strategy=strategy, mode="rebac-only")
-                assert untimed(check(store, g, store.rbac, req, cfg)) == untimed(direct)
+            decisions = {key: rebac_decision(store, g, req, *key) for key in REBAC_ONLY}
             eager_lib = decisions[("eager", "liberal")]
             lazy_lib = decisions[("lazy", "liberal")]
             eager_str = decisions[("eager", "strict")]
@@ -239,12 +224,12 @@ class TestRandomizedEquivalence:
 
     def test_determinism(self):
         for store, g, req in self.run_cases(40, seed=77):
-            first = check_eager_liberal(store, g, req)
-            second = check_eager_liberal(store, g, req)
+            first = rebac_decision(store, g, req, "eager", "liberal")
+            second = rebac_decision(store, g, req, "eager", "liberal")
             assert first.allow == second.allow
             assert first.trace.enabled_principals == second.trace.enabled_principals
-            lazy_first = check_lazy_liberal(store, g, req)
-            lazy_second = check_lazy_liberal(store, g, req)
+            lazy_first = rebac_decision(store, g, req, "lazy", "liberal")
+            lazy_second = rebac_decision(store, g, req, "lazy", "liberal")
             assert lazy_first.trace.principals_considered == lazy_second.trace.principals_considered
 
 

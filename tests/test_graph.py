@@ -1,5 +1,6 @@
 import os
 import random
+import stat
 import threading
 import time
 from contextlib import contextmanager
@@ -24,6 +25,7 @@ from rebac.graph import (
     USER_MANAGED,
     AuthorizationGraph,
     load_graph,
+    load_graph_file,
     save_graph,
     save_graph_file,
 )
@@ -362,6 +364,22 @@ class TestSaveGraphFile:
         monkeypatch.undo()
         assert path.read_bytes() == original
         assert list(tmp_path.glob("*.tmp")) == []
+
+    @pytest.mark.parametrize("existing", [True, False], ids=["existing-0644", "new"])
+    def test_save_keeps_the_mode_open_would_give(self, tmp_path, existing):
+        path = tmp_path / "graph.txt"
+        if existing:
+            path.write_text("", encoding="utf-8")
+            os.chmod(path, 0o644)
+            expected = 0o644
+        else:
+            probe = tmp_path / "probe.txt"
+            with open(probe, "w"):
+                pass
+            expected = stat.S_IMODE(os.stat(probe).st_mode)
+        save_graph_file(tiny_graph(), path)
+        assert stat.S_IMODE(os.stat(path).st_mode) == expected
+        assert load_graph_file(path).edge_set() == tiny_graph().edge_set()
 
 
 @given(st.sets(st.tuples(st.sampled_from("abcde"), st.sampled_from(["r0", "r1"]),

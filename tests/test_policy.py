@@ -192,7 +192,7 @@ class TestAttach:
     def test_owner_provider_attached(self, referral_system):
         graph, store = referral_system
         assert graph.out_neighbors("rec1", "owner") == {"p1"}
-        assert graph.kind_of("rec1") == "resource"
+        assert graph.vertices()["rec1"] == "resource"
         assert graph.relations()["owner"] == SYSTEM_INDUCED
 
     def test_relations_merged_idempotently(self):

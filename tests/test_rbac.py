@@ -1,8 +1,10 @@
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from rebac.policy import Guard
-from rebac.rbac import RbacTables, rbac_check, rbac_privileges
+from rebac.engine import AccessRequest, EngineConfig, check
+from rebac.graph import AuthorizationGraph
+from rebac.policy import Guard, PolicyStore
+from rebac.rbac import RbacTables, rbac_privileges
 
 
 def tables(pa, ua):
@@ -11,6 +13,19 @@ def tables(pa, ua):
         privilege_assignment={r: frozenset(ps) for r, ps in pa.items()},
         user_assignment={u: frozenset(rs) for u, rs in ua.items()},
     )
+
+
+ROLE_GRAPH = AuthorizationGraph()
+with ROLE_GRAPH.write():
+    ROLE_GRAPH.add_vertex("rec", "resource")
+    ROLE_GRAPH.add_vertex("u", "user")
+    ROLE_GRAPH.add_vertex("stranger", "user")
+
+
+def role_check(t, user, guard):
+    """The role check: ``engine.check`` in rbac-only mode."""
+    return check(PolicyStore(), ROLE_GRAPH, t, AccessRequest("rec", user, guard),
+                 EngineConfig(mode="rbac-only"))
 
 
 def test_single_role_privileges():
@@ -30,10 +45,10 @@ def test_privileges_union_across_roles():
 
 def test_check_composes_with_guards():
     t = tables({"r1": {"p1", "p2"}}, {"u": {"r1"}})
-    assert rbac_check(t, "u", Guard.one_of("p2", "p9")).allow
-    assert rbac_check(t, "u", Guard.all_of("p1", "p2")).allow
-    assert not rbac_check(t, "u", Guard.all_of("p1", "p9")).allow
-    assert not rbac_check(t, "stranger", Guard.one_of("p1")).allow
+    assert role_check(t, "u", Guard.one_of("p2", "p9")).allow
+    assert role_check(t, "u", Guard.all_of("p1", "p2")).allow
+    assert not role_check(t, "u", Guard.all_of("p1", "p9")).allow
+    assert not role_check(t, "stranger", Guard.one_of("p1")).allow
 
 
 @given(
@@ -50,5 +65,5 @@ def test_check_monotone_in_role_assignment(assignments, user_roles, new_role,
     t = tables(assignments, {"u": user_roles})
     bigger = tables(assignments, {"u": user_roles | {new_role}})
     guard = Guard(kind, privileges)
-    if rbac_check(t, "u", guard).allow:
-        assert rbac_check(bigger, "u", guard).allow
+    if role_check(t, "u", guard).allow:
+        assert role_check(bigger, "u", guard).allow
