@@ -1,10 +1,11 @@
-"""Administrative actions: declared, precondition-guarded, atomic edge updates.
+"""Administrative actions: precondition-guarded, atomic edge updates.
 
 An action lets a qualified non-administrator (the ``user``) update
 access-control relationships around a ``patient``: a referral, a team
-assignment, and so on.  The declaration names an enabling precondition
-over (user, patient), a list of auxiliary participants, an applicability
-precondition over all participants, and a list of add/del edge effects.
+assignment, and so on.  Its declaration, ``policy.AdminActionDecl``,
+names an enabling precondition over (user, patient), a list of auxiliary
+participants, an applicability precondition over all participants, and
+a list of add/del edge effects; this module executes it.
 
 Execution re-checks both preconditions inside the exclusive write
 transaction (closing the time-of-check-to-time-of-use window) and then
@@ -14,7 +15,7 @@ applies the effects atomically: all of them, or none.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import TYPE_CHECKING, Mapping
+from typing import Mapping
 
 from . import hl
 from .errors import (
@@ -27,33 +28,7 @@ from .errors import (
     UnknownAction,
 )
 from .graph import ACCESS_CONTROL, AuthorizationGraph
-
-if TYPE_CHECKING:
-    from .policy import PolicyStore
-
-PRIMARY_PARTICIPANTS = ("user", "patient")
-
-
-@dataclass(frozen=True)
-class Update:
-    op: str  # "add" | "del"
-    rel: str  # must be an access-control relation
-    x: str  # participant name (primary or auxiliary)
-    y: str
-
-
-@dataclass(frozen=True)
-class AdminActionDecl:
-    id: str
-    enabling: str  # formula id over vars (user, patient)
-    participants: tuple[str, ...]  # auxiliary participant names
-    applicability: str  # formula id over vars (user, patient, *participants)
-    effects: tuple[Update, ...]
-
-    @property
-    def all_participants(self) -> tuple[str, ...]:
-        return PRIMARY_PARTICIPANTS + self.participants
-
+from .policy import PolicyStore
 
 # Binding: participant name -> vertex id, total over the declaration's
 # participants plus the two primaries.
@@ -66,7 +41,7 @@ class ExecutionReport:
     applied: tuple[tuple[str, str, str, str], ...]  # (op, rel, src, dst)
 
 
-def _holds(store: "PolicyStore", graph: AuthorizationGraph, action_id: str,
+def _holds(store: PolicyStore, graph: AuthorizationGraph, action_id: str,
            formula_id: str, valuation: Mapping[str, str]) -> bool:
     formula = store.formulas.get(formula_id)
     if formula is None:
@@ -77,7 +52,7 @@ def _holds(store: "PolicyStore", graph: AuthorizationGraph, action_id: str,
         raise EvaluationError(f"action {action_id}", exc) from exc
 
 
-def enabled_actions(store: "PolicyStore", graph: AuthorizationGraph,
+def enabled_actions(store: PolicyStore, graph: AuthorizationGraph,
                     user: str, patient: str) -> list[str]:
     """Ids of actions whose enabling precondition holds for (user, patient),
     in declaration order."""
@@ -90,7 +65,7 @@ def enabled_actions(store: "PolicyStore", graph: AuthorizationGraph,
         ]
 
 
-def execute_action(store: "PolicyStore", graph: AuthorizationGraph,
+def execute_action(store: PolicyStore, graph: AuthorizationGraph,
                    action_id: str, binding: Binding) -> ExecutionReport:
     """Run one administrative action atomically.
 

@@ -14,10 +14,11 @@ from pathlib import Path
 
 from . import admin as admin_mod
 from . import engine as engine_mod
-from . import hl, service, synth
+from . import service, synth
 from .errors import PolicyError, RebacError
 from .graph import AuthorizationGraph, load_graph_file, save_graph_file
-from .policy import PolicyStore, attach_policy, guard_from_json, load_policy_file, validate
+from .policy import (PolicyStore, attach_policy, guard_from_json, load_policy,
+                     load_policy_file, validate)
 
 
 def _load_system(args) -> tuple[AuthorizationGraph, PolicyStore]:
@@ -139,20 +140,17 @@ def _cmd_fmt_check(args) -> int:
     {id, vars, text} or a policy document's 'formulas' key)."""
     doc = json.loads(Path(args.file).read_text(encoding="utf-8"))
     entries = doc.get("formulas", []) if isinstance(doc, dict) else doc
-    if not isinstance(entries, list):
-        raise PolicyError("formulas must be a list")
+    store = load_policy({"formulas": entries})
+    # One diagnostic per failing entry, in entry order; an id is ok only
+    # at its first, valid declaration.
+    issues = iter(store.load_issues)
     failures = 0
-    for i, entry in enumerate(entries):
-        fid = entry.get("id", f"#{i}") if isinstance(entry, dict) else f"#{i}"
-        try:
-            if not isinstance(entry, dict):
-                raise PolicyError("formula entry must be an object")
-            hl.parse(entry["text"], entry.get("vars", []))
-        except (RebacError, KeyError, TypeError) as exc:
-            failures += 1
-            print(f"error {fid}: {exc}")
+    for entry in entries:
+        if store.formulas.pop(entry["id"], None) is not None:
+            print(f"ok {entry['id']}")
         else:
-            print(f"ok {fid}")
+            failures += 1
+            print(f"error {entry['id']}: {next(issues).message}")
     return 1 if failures else 0
 
 

@@ -74,12 +74,14 @@ def _match(store: PolicyStore, graph: AuthorizationGraph, resource: str, user: s
     evaluations = hits = considered = 0
     enabled: list[str] = []
     pooled: set[str] = set()
+    # lazy liberal skips a principal that grants none of the missing privileges
+    missing = set(guard.privileges) if guard is not None else set()
     allow = False
     for ap in sorted(store.matching_rules):
         considered += 1
         grants = store.authorization_rules.get(ap, frozenset())
         if lazy and not (satisfies(grants, guard) if strict
-                         else (grants - pooled) & guard.privileges):
+                         else not missing.isdisjoint(grants)):
             continue
         fid = store.matching_rules[ap]
         # Under lazy strict a memo hit is always False: a true
@@ -101,6 +103,7 @@ def _match(store: PolicyStore, graph: AuthorizationGraph, resource: str, user: s
         if guard is None:
             continue
         pooled |= grants
+        missing -= grants
         if satisfies(grants if strict else pooled, guard):
             allow = True
             if lazy:

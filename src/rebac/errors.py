@@ -11,35 +11,31 @@ class RebacError(Exception):
 
 # --- graph ---
 
-class GraphError(RebacError):
-    code = "graph"
-
-
-class UnknownVertex(GraphError):
+class UnknownVertex(RebacError):
     code = "unknown_vertex"
 
 
-class UnknownRelation(GraphError):
+class UnknownRelation(RebacError):
     code = "unknown_relation"
 
 
-class DuplicateRelation(GraphError):
+class DuplicateRelation(RebacError):
     code = "duplicate_relation"
 
 
-class AddExistingEdge(GraphError):
+class AddExistingEdge(RebacError):
     code = "add_existing_edge"
 
 
-class DeleteMissingEdge(GraphError):
+class DeleteMissingEdge(RebacError):
     code = "delete_missing_edge"
 
 
-class ReadOnlyRelation(GraphError):
+class ReadOnlyRelation(RebacError):
     code = "read_only_relation"
 
 
-class TransactionRequired(GraphError):
+class TransactionRequired(RebacError):
     """A mutation was attempted outside an exclusive write transaction."""
 
     code = "transaction_required"
@@ -63,19 +59,15 @@ class ParseError(RebacError):
 
 # --- formulas ---
 
-class FormulaError(RebacError):
-    code = "formula"
-
-
-class UnknownVariable(FormulaError):
+class UnknownVariable(RebacError):
     code = "unknown_variable"
 
 
-class NotAnchored(FormulaError):
+class NotAnchored(RebacError):
     code = "not_anchored"
 
 
-class ArityMismatch(FormulaError):
+class ArityMismatch(RebacError):
     code = "arity_mismatch"
 
 
@@ -102,23 +94,19 @@ class EvaluationError(RebacError):
 
 # --- admin actions ---
 
-class AdminError(RebacError):
-    code = "admin"
-
-
-class UnknownAction(AdminError):
+class UnknownAction(RebacError):
     code = "unknown_action"
 
 
-class NotEnabled(AdminError):
+class NotEnabled(RebacError):
     code = "not_enabled"
 
 
-class NotApplicable(AdminError):
+class NotApplicable(RebacError):
     code = "not_applicable"
 
 
-class UnboundParticipant(AdminError):
+class UnboundParticipant(RebacError):
     code = "unbound_participant"
 
 

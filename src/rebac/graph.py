@@ -11,7 +11,8 @@ one of three categories:
   administrative actions and the administrative edit operations.
 
 Edges of all three categories live in one index, keyed in both
-directions, so ``out``, ``in`` and ``has_edge`` are dictionary lookups.
+directions, so ``out_neighbors``, ``in_neighbors`` and ``has_edge`` are
+dictionary lookups.
 
 Concurrency: one reentrant mutex; readers take it in turn.  Every
 mutation must run inside ``with graph.write(): ...``, which holds the
@@ -47,7 +48,8 @@ SYSTEM_INDUCED = "system-induced"
 ACCESS_CONTROL = "access-control"
 RELATION_CATEGORIES = frozenset({USER_MANAGED, SYSTEM_INDUCED, ACCESS_CONTROL})
 
-_RELATION_NAME = re.compile(r"^[A-Za-z][A-Za-z0-9_-]*$")
+# Relation names and formula variables; match with fullmatch.
+IDENT = re.compile(r"[A-Za-z][A-Za-z0-9_-]*")
 
 Edge = tuple[str, str, str]  # (src, relation, dst)
 
@@ -97,6 +99,8 @@ class AuthorizationGraph:
         self._require_write()
         if kind not in VERTEX_KINDS:
             raise ValueError(f"unknown vertex kind {kind!r}")
+        if vid.split() != [vid]:
+            raise ValueError(f"invalid vertex id {vid!r}")
         if vid in self._vertices:
             raise ValueError(f"vertex {vid!r} already present")
         self._vertices[vid] = kind
@@ -110,7 +114,7 @@ class AuthorizationGraph:
 
     def declare_relation(self, name: str, category: str) -> None:
         self._require_write()
-        if not _RELATION_NAME.match(name):
+        if not IDENT.fullmatch(name):
             raise ValueError(f"invalid relation name {name!r}")
         if category not in RELATION_CATEGORIES:
             raise ValueError(f"unknown relation category {category!r}")

@@ -32,9 +32,7 @@ from dataclasses import dataclass
 from typing import Mapping, Union
 
 from .errors import ArityMismatch, NotAnchored, ParseError, UnknownVariable
-from .graph import AuthorizationGraph
-
-_IDENT = re.compile(r"[A-Za-z][A-Za-z0-9_-]*")
+from .graph import IDENT, AuthorizationGraph
 
 Node = Union["Const", "Var", "Not", "And", "Or", "Diamond", "At"]
 
@@ -130,7 +128,7 @@ def _names_used(node: Node, acc: set[str]) -> None:
 def validate(formula: Formula) -> None:
     """Check declared-variable use and the anchored restriction."""
     for v in formula.vars:
-        if not _IDENT.fullmatch(v):
+        if not IDENT.fullmatch(v):
             raise UnknownVariable(f"invalid variable name {v!r}")
     if len(set(formula.vars)) != len(formula.vars):
         raise UnknownVariable("duplicate declared variable")
@@ -145,7 +143,7 @@ def validate(formula: Formula) -> None:
 
 # --- parsing ---
 
-_TOKEN = re.compile(r"\s*(?:([A-Za-z][A-Za-z0-9_-]*)|([@<>\-!&|()]))")
+_TOKEN = re.compile(rf"\s*(?:({IDENT.pattern})|([@<>\-!&|()]))")
 
 # Deepest nesting of unary operators and parentheses the parser accepts.
 # Corpus formulas nest about six levels; the cap keeps the recursive

@@ -24,7 +24,8 @@ The whole policy lives in one JSON document::
 
 ``load_policy`` builds the store and records recoverable problems;
 ``validate`` returns the full diagnostics list, empty iff the store is
-sound.  The store is immutable after load.
+sound; ``policy_document`` writes it back.  The store is immutable after
+load.  ``str_field`` and ``str_list`` check every JSON field that enters.
 """
 
 from __future__ import annotations
@@ -34,7 +35,6 @@ from dataclasses import dataclass, field
 from typing import AbstractSet, Iterable, Mapping
 
 from . import hl
-from .admin import PRIMARY_PARTICIPANTS, AdminActionDecl, Update
 from .errors import PolicyError, RebacError
 from .graph import ACCESS_CONTROL, RELATION_CATEGORIES, AuthorizationGraph
 from .rbac import RbacTables, empty_tables
@@ -78,12 +78,36 @@ def satisfies(granted: AbstractSet[str], guard: Guard) -> bool:
 def guard_from_json(obj) -> Guard:
     if not isinstance(obj, Mapping):
         raise PolicyError(f"guard must be an object, got {type(obj).__name__}")
+    kind = str_field(obj, "kind", "guard")
+    privileges = frozenset(str_list(obj, "privileges", "guard"))
     try:
-        return Guard(obj["kind"], frozenset(obj["privileges"]))
-    except KeyError as exc:
-        raise PolicyError(f"guard missing field {exc.args[0]!r}") from exc
-    except (TypeError, ValueError) as exc:
+        return Guard(kind, privileges)
+    except ValueError as exc:
         raise PolicyError(f"bad guard: {exc}") from exc
+
+
+PRIMARY_PARTICIPANTS = ("user", "patient")
+
+
+@dataclass(frozen=True)
+class Update:
+    op: str  # "add" | "del"
+    rel: str  # must be an access-control relation
+    x: str  # participant name (primary or auxiliary)
+    y: str
+
+
+@dataclass(frozen=True)
+class AdminActionDecl:
+    id: str
+    enabling: str  # formula id over vars (user, patient)
+    participants: tuple[str, ...]  # auxiliary participant names
+    applicability: str  # formula id over vars (user, patient, *participants)
+    effects: tuple[Update, ...]
+
+    @property
+    def all_participants(self) -> tuple[str, ...]:
+        return PRIMARY_PARTICIPANTS + self.participants
 
 
 @dataclass(frozen=True)
@@ -108,17 +132,18 @@ class PolicyStore:
     load_issues: list[Diagnostic] = field(default_factory=list)
 
 
-def _entries(doc: Mapping, key: str) -> Iterable[Mapping]:
+def _entries(doc: Mapping, key: str, where: str = "") -> Iterable[Mapping]:
+    where = where or key
     value = doc.get(key, [])
     if not isinstance(value, list):
-        raise PolicyError(f"{key!r} must be a list")
+        raise PolicyError(f"{where} must be a list")
     for i, entry in enumerate(value):
         if not isinstance(entry, Mapping):
-            raise PolicyError(f"{key}[{i}] must be an object")
+            raise PolicyError(f"{where}[{i}] must be an object")
         yield entry
 
 
-def _str_field(entry: Mapping, key: str, where: str) -> str:
+def str_field(entry: Mapping, key: str, where: str) -> str:
     try:
         value = entry[key]
     except KeyError:
@@ -128,7 +153,7 @@ def _str_field(entry: Mapping, key: str, where: str) -> str:
     return value
 
 
-def _str_list(entry: Mapping, key: str, where: str) -> list[str]:
+def str_list(entry: Mapping, key: str, where: str) -> list[str]:
     value = entry.get(key, [])
     if not isinstance(value, list) or any(not isinstance(v, str) for v in value):
         raise PolicyError(f"{where}.{key} must be a list of strings")
@@ -148,8 +173,8 @@ def load_policy(doc: Mapping) -> PolicyStore:
 
     relations: dict[str, str] = {}
     for entry in _entries(doc, "relations"):
-        name = _str_field(entry, "name", "relations")
-        category = _str_field(entry, "category", "relations")
+        name = str_field(entry, "name", "relations")
+        category = str_field(entry, "category", "relations")
         if category not in RELATION_CATEGORIES:
             raise PolicyError(f"relation {name!r} has unknown category {category!r}")
         if name in relations and relations[name] != category:
@@ -158,13 +183,15 @@ def load_policy(doc: Mapping) -> PolicyStore:
         relations[name] = category
 
     formulas: hl.FormulaLibrary = {}
+    declared: set[str] = set()
     for entry in _entries(doc, "formulas"):
-        fid = _str_field(entry, "id", "formulas")
-        text = _str_field(entry, "text", "formulas")
-        fvars = _str_list(entry, "vars", f"formulas[{fid}]")
-        if fid in formulas:
+        fid = str_field(entry, "id", "formulas")
+        text = str_field(entry, "text", "formulas")
+        fvars = str_list(entry, "vars", f"formulas[{fid}]")
+        if fid in declared:
             issues.append(Diagnostic("duplicate-formula", fid, "formula id declared twice"))
             continue
+        declared.add(fid)
         try:
             formulas[fid] = hl.parse(text, fvars)
         except RebacError as exc:
@@ -172,8 +199,8 @@ def load_policy(doc: Mapping) -> PolicyStore:
 
     matching: dict[str, str] = {}
     for entry in _entries(doc, "matching_rules"):
-        principal = _str_field(entry, "principal", "matching_rules")
-        fid = _str_field(entry, "formula_id", "matching_rules")
+        principal = str_field(entry, "principal", "matching_rules")
+        fid = str_field(entry, "formula_id", "matching_rules")
         if principal in matching:
             issues.append(Diagnostic("duplicate-principal", principal,
                                      "more than one principal matching rule"))
@@ -182,8 +209,8 @@ def load_policy(doc: Mapping) -> PolicyStore:
 
     authorization: dict[str, frozenset[str]] = {}
     for entry in _entries(doc, "authorization_rules"):
-        principal = _str_field(entry, "principal", "authorization_rules")
-        privileges = frozenset(_str_list(entry, "privileges", "authorization_rules"))
+        principal = str_field(entry, "principal", "authorization_rules")
+        privileges = frozenset(str_list(entry, "privileges", "authorization_rules"))
         if principal in authorization:
             issues.append(Diagnostic("duplicate-principal", principal,
                                      "more than one authorization rule"))
@@ -195,45 +222,40 @@ def load_policy(doc: Mapping) -> PolicyStore:
         raise PolicyError("'rbac' must be an object")
     privilege_assignment: dict[str, frozenset[str]] = {}
     for entry in _entries(rbac_doc, "roles"):
-        role = _str_field(entry, "name", "rbac.roles")
-        privilege_assignment[role] = frozenset(_str_list(entry, "privileges", "rbac.roles"))
+        role = str_field(entry, "name", "rbac.roles")
+        privilege_assignment[role] = frozenset(str_list(entry, "privileges", "rbac.roles"))
     user_assignment: dict[str, frozenset[str]] = {}
     for entry in _entries(rbac_doc, "user_roles"):
-        user = _str_field(entry, "user", "rbac.user_roles")
-        user_assignment[user] = frozenset(_str_list(entry, "roles", "rbac.user_roles"))
+        user = str_field(entry, "user", "rbac.user_roles")
+        user_assignment[user] = frozenset(str_list(entry, "roles", "rbac.user_roles"))
     tables = RbacTables(frozenset(privilege_assignment), privilege_assignment, user_assignment)
 
     actions: dict[str, AdminActionDecl] = {}
     for entry in _entries(doc, "admin_actions"):
-        aid = _str_field(entry, "id", "admin_actions")
+        aid = str_field(entry, "id", "admin_actions")
         if aid in actions:
             issues.append(Diagnostic("duplicate-action", aid, "action id declared twice"))
             continue
-        effect_entries = entry.get("effects", [])
-        if not isinstance(effect_entries, list):
-            raise PolicyError(f"admin_actions[{aid}].effects must be a list")
+        where = f"admin_actions[{aid}].effects"
         effects = []
-        for i, eff in enumerate(effect_entries):
-            if not isinstance(eff, Mapping):
-                raise PolicyError(f"admin_actions[{aid}].effects[{i}] must be an object")
-            where = f"admin_actions[{aid}].effects"
-            op = _str_field(eff, "op", where)
+        for i, eff in enumerate(_entries(entry, "effects", where)):
+            op = str_field(eff, "op", where)
             if op not in ("add", "del"):
                 raise PolicyError(f"{where}[{i}].op must be 'add' or 'del'")
-            effects.append(Update(op, _str_field(eff, "rel", where),
-                                  _str_field(eff, "x", where), _str_field(eff, "y", where)))
+            effects.append(Update(op, str_field(eff, "rel", where),
+                                  str_field(eff, "x", where), str_field(eff, "y", where)))
         actions[aid] = AdminActionDecl(
             id=aid,
-            enabling=_str_field(entry, "enabling", f"admin_actions[{aid}]"),
-            participants=tuple(_str_list(entry, "participants", f"admin_actions[{aid}]")),
-            applicability=_str_field(entry, "applicability", f"admin_actions[{aid}]"),
+            enabling=str_field(entry, "enabling", f"admin_actions[{aid}]"),
+            participants=tuple(str_list(entry, "participants", f"admin_actions[{aid}]")),
+            applicability=str_field(entry, "applicability", f"admin_actions[{aid}]"),
             effects=tuple(effects),
         )
 
     owners: dict[str, list[str]] = {}
     for entry in _entries(doc, "owners"):
-        resource = _str_field(entry, "resource", "owners")
-        owner = _str_field(entry, "owner", "owners")
+        resource = str_field(entry, "resource", "owners")
+        owner = str_field(entry, "owner", "owners")
         owners.setdefault(resource, []).append(owner)
 
     return PolicyStore(
@@ -255,6 +277,51 @@ def load_policy_file(path) -> PolicyStore:
         except json.JSONDecodeError as exc:
             raise PolicyError(f"{path}: {exc}") from exc
     return load_policy(doc)
+
+
+def policy_document(store: PolicyStore) -> dict:
+    """Policy JSON document (deterministically ordered) for a store."""
+    tables = store.rbac
+    return {
+        "relations": [{"name": n, "category": c} for n, c in sorted(store.relations.items())],
+        "formulas": [
+            {"id": fid, "vars": list(f.vars), "text": hl.unparse(f)}
+            for fid, f in sorted(store.formulas.items())
+        ],
+        "matching_rules": [
+            {"principal": ap, "formula_id": fid}
+            for ap, fid in sorted(store.matching_rules.items())
+        ],
+        "authorization_rules": [
+            {"principal": ap, "privileges": sorted(ps)}
+            for ap, ps in sorted(store.authorization_rules.items())
+        ],
+        "rbac": {
+            "roles": [
+                {"name": r, "privileges": sorted(tables.privilege_assignment.get(r, ()))}
+                for r in sorted(tables.roles)
+            ],
+            "user_roles": [
+                {"user": u, "roles": sorted(rs)}
+                for u, rs in sorted(tables.user_assignment.items())
+            ],
+        },
+        "admin_actions": [
+            {
+                "id": a.id,
+                "enabling": a.enabling,
+                "participants": list(a.participants),
+                "applicability": a.applicability,
+                "effects": [{"op": u.op, "rel": u.rel, "x": u.x, "y": u.y} for u in a.effects],
+            }
+            for a in store.admin_actions.values()
+        ],
+        "owners": [
+            {"resource": r, "owner": o}
+            for r in sorted(store.owners)
+            for o in store.owners[r]
+        ],
+    }
 
 
 def validate(store: PolicyStore) -> list[Diagnostic]:

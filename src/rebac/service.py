@@ -37,7 +37,7 @@ from typing import Mapping
 from . import admin, engine
 from .errors import PolicyError, RebacError
 from .graph import AuthorizationGraph
-from .policy import PolicyStore, guard_from_json
+from .policy import PolicyStore, guard_from_json, str_field, str_list
 
 _log = logging.getLogger(__name__)
 
@@ -136,55 +136,47 @@ class PdpServer(socketserver.ThreadingTCPServer):
     def dispatch(self, request) -> dict:
         if not isinstance(request, Mapping):
             raise PolicyError("request must be a JSON object")
+
+        def field(key: str) -> str:
+            return str_field(request, key, "request")
+
         op = request.get("op")
         if op == "check":
             req = engine.AccessRequest(
-                resource=self._field(request, "resource"),
-                user=self._field(request, "user"),
-                guard=guard_from_json(request["guard"]),
+                resource=field("resource"),
+                user=field("user"),
+                guard=guard_from_json(request.get("guard")),
             )
             return engine.check(self.store, self.graph, self.store.rbac, req,
                                 self.cfg).to_json()
         if op == "filter":
-            resources = request.get("resources", [])
-            if not isinstance(resources, list):
-                raise PolicyError("'resources' must be a list")
             allowed = engine.filter_collection(
                 self.store, self.graph, self.store.rbac,
-                self._field(request, "user"), guard_from_json(request["guard"]),
-                resources, self.cfg)
+                field("user"), guard_from_json(request.get("guard")),
+                str_list(request, "resources", "request"), self.cfg)
             return {"allowed": allowed}
         if op == "match":
             enabled = engine.enabled_principals(
-                self.store, self.graph,
-                self._field(request, "resource"), self._field(request, "user"))
+                self.store, self.graph, field("resource"), field("user"))
             return {"principals": sorted(enabled)}
         if op == "admin.enabled":
             actions = admin.enabled_actions(
-                self.store, self.graph,
-                self._field(request, "user"), self._field(request, "patient"))
+                self.store, self.graph, field("user"), field("patient"))
             return {"actions": actions}
         if op == "admin.exec":
             bindings = request.get("bindings", {})
             if not isinstance(bindings, Mapping):
                 raise PolicyError("'bindings' must be an object")
             binding = {
-                "user": self._field(request, "user"),
-                "patient": self._field(request, "patient"),
-                **{str(k): str(v) for k, v in bindings.items()},
+                "user": field("user"),
+                "patient": field("patient"),
+                **{name: str_field(bindings, name, "bindings") for name in bindings},
             }
             report = admin.execute_action(
-                self.store, self.graph, self._field(request, "action"), binding)
+                self.store, self.graph, field("action"), binding)
             return {"action": report.action,
                     "applied": [list(u) for u in report.applied]}
         raise PolicyError(f"unknown op {op!r}")
-
-    @staticmethod
-    def _field(request: Mapping, key: str) -> str:
-        value = request.get(key)
-        if not isinstance(value, str):
-            raise PolicyError(f"{key!r} must be a string")
-        return value
 
 
 class PdpClient:

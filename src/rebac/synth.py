@@ -44,7 +44,7 @@ from . import hl
 from .engine import AccessRequest
 from .errors import InfeasibleScale
 from .graph import USER_MANAGED, AuthorizationGraph, save_graph_file
-from .policy import Guard, PolicyStore
+from .policy import Guard, PolicyStore, policy_document
 from .prng import Xoshiro256, stream
 from .rbac import RbacTables
 
@@ -239,7 +239,8 @@ def synth_graph(cfg: SynthConfig) -> AuthorizationGraph:
     its endpoint kinds.
     """
     if isinstance(cfg.graph_source, GeneratedGraph):
-        n_nodes = cfg.graph_source.nodes or scaled(BASE_GRAPH_NODES, cfg.scale)
+        n_nodes = cfg.graph_source.nodes if cfg.graph_source.nodes is not None \
+            else scaled(BASE_GRAPH_NODES, cfg.scale)
         n_edges = cfg.graph_source.edges if cfg.graph_source.edges is not None \
             else scaled(BASE_GRAPH_EDGES, cfg.scale)
         ids, pairs = _generate_pairs(stream(cfg.seed, "graph"), n_nodes, n_edges)
@@ -339,51 +340,6 @@ def synthesize(cfg: SynthConfig) -> SynthesizedWorkload:
         for kind in ("one-of", "all-of")
     }
     return SynthesizedWorkload(cfg, g, store, privileges, users, patients, requests)
-
-
-def policy_document(store: PolicyStore) -> dict:
-    """Policy JSON document (deterministically ordered) for a store."""
-    tables = store.rbac
-    return {
-        "relations": [{"name": n, "category": c} for n, c in sorted(store.relations.items())],
-        "formulas": [
-            {"id": fid, "vars": list(f.vars), "text": hl.unparse(f)}
-            for fid, f in sorted(store.formulas.items())
-        ],
-        "matching_rules": [
-            {"principal": ap, "formula_id": fid}
-            for ap, fid in sorted(store.matching_rules.items())
-        ],
-        "authorization_rules": [
-            {"principal": ap, "privileges": sorted(ps)}
-            for ap, ps in sorted(store.authorization_rules.items())
-        ],
-        "rbac": {
-            "roles": [
-                {"name": r, "privileges": sorted(tables.privilege_assignment.get(r, ()))}
-                for r in sorted(tables.roles)
-            ],
-            "user_roles": [
-                {"user": u, "roles": sorted(rs)}
-                for u, rs in sorted(tables.user_assignment.items())
-            ],
-        },
-        "admin_actions": [
-            {
-                "id": a.id,
-                "enabling": a.enabling,
-                "participants": list(a.participants),
-                "applicability": a.applicability,
-                "effects": [{"op": u.op, "rel": u.rel, "x": u.x, "y": u.y} for u in a.effects],
-            }
-            for a in store.admin_actions.values()
-        ],
-        "owners": [
-            {"resource": r, "owner": o}
-            for r in sorted(store.owners)
-            for o in store.owners[r]
-        ],
-    }
 
 
 def write_fixture(workload: SynthesizedWorkload, outdir) -> list[Path]:

@@ -164,26 +164,50 @@ class TestSynthAndBench:
         lines = capsys.readouterr().out.splitlines()
         assert [line.split(":")[0] for line in lines] == ["error bangs", "error parens"]
 
+    def test_fmt_check_flags_a_repeated_id(self, tmp_path, capsys):
+        corpus = [{"id": "bad", "vars": ["x"], "text": "<gp> x"},
+                  {"id": "twice", "vars": ["x"], "text": "@x x"},
+                  {"id": "bad", "vars": ["x"], "text": "@x x"},
+                  {"id": "twice", "vars": ["x"], "text": "@x x"}]
+        path = tmp_path / "corpus.json"
+        path.write_text(json.dumps(corpus), encoding="utf-8")
+        assert main(["fmt", "check", str(path)]) == 1
+        lines = capsys.readouterr().out.splitlines()
+        assert [line.split(":")[0] for line in lines] == [
+            "error bad", "ok twice", "error bad", "error twice"]
+        assert lines[2].endswith("formula id declared twice")
+
 
 MALFORMED = ["fmt-invalid-json", "fmt-formulas-not-a-list", "graph-not-utf8",
-             "policy-not-utf8", "synth-scale-zero", "serve-bad-listen"]
+             "policy-not-utf8", "synth-scale-zero", "serve-bad-listen",
+             "check-guard-not-json", "synth-nodes-zero", "fmt-entry-not-an-object",
+             "fmt-entry-without-id"]
 
 
 @pytest.mark.parametrize("case", MALFORMED)
 def test_malformed_input_is_an_error_not_a_traceback(fixture_dir, capsys, case):
     bad = fixture_dir / "bad"
     bad.write_bytes({"fmt-invalid-json": b"{not json",
-                     "fmt-formulas-not-a-list": b'{"formulas": 5}'}.get(case, b"\xff\xfe\n"))
+                     "fmt-formulas-not-a-list": b'{"formulas": 5}',
+                     "fmt-entry-not-an-object": b'[{"id": "f", "text": "true"}, 5]',
+                     "fmt-entry-without-id": b'[{"id": "f", "text": "true"}, {"text": "true"}]',
+                     }.get(case, b"\xff\xfe\n"))
     graph, policy = str(fixture_dir / "graph.txt"), str(fixture_dir / "policy.json")
     request = ["--resource", "rec1", "--user", "d1", "--guard", GUARD]
     argv = {
         "fmt-invalid-json": ["fmt", "check", str(bad)],
         "fmt-formulas-not-a-list": ["fmt", "check", str(bad)],
+        "fmt-entry-not-an-object": ["fmt", "check", str(bad)],
+        "fmt-entry-without-id": ["fmt", "check", str(bad)],
         "graph-not-utf8": ["check", "--graph", str(bad), "--policy", policy, *request],
         "policy-not-utf8": ["check", "--graph", graph, "--policy", str(bad), *request],
         "synth-scale-zero": ["synth", "--seed", "1", "--scale", "0",
                              "--out", str(fixture_dir / "out")],
         "serve-bad-listen": ["serve", *system_args(fixture_dir), "--listen", "nope"],
+        "check-guard-not-json": ["check", *system_args(fixture_dir), *request[:4],
+                                 "--guard", "not json"],
+        "synth-nodes-zero": ["synth", "--seed", "1", "--scale", "0.1", "--nodes", "0",
+                             "--edges", "0", "--out", str(fixture_dir / "out")],
     }[case]
     assert main(argv) == 1
     err = capsys.readouterr().err

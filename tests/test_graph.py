@@ -198,6 +198,21 @@ class TestMutation:
         with g.write(), pytest.raises(DuplicateRelation):
             g.declare_relation("gp", USER_MANAGED)
 
+    @pytest.mark.parametrize("vid", ["rec 1", "", "rec1\n", "\t"],
+                             ids=["space", "empty", "trailing-newline", "tab"])
+    def test_vertex_id_must_be_one_edge_list_field(self, vid):
+        g = tiny_graph()
+        with g.write(), pytest.raises(ValueError, match="invalid vertex id"):
+            g.add_vertex(vid, "resource")
+        assert load_graph(save_graph(g)).vertices() == g.vertices()
+
+    @pytest.mark.parametrize("name", ["gp\n", "", "g p", "1gp"],
+                             ids=["trailing-newline", "empty", "space", "leading-digit"])
+    def test_relation_name_must_be_an_identifier(self, name):
+        g = tiny_graph()
+        with g.write(), pytest.raises(ValueError, match="invalid relation name"):
+            g.declare_relation(name, USER_MANAGED)
+
     def test_ensure_relation_idempotent_but_category_strict(self):
         g = tiny_graph()
         with g.write():

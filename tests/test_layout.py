@@ -29,3 +29,41 @@ def test_every_import_is_used(path):
     unused = [name for name in imported
               if name != "annotations" and not re.search(rf"\b{re.escape(name)}\b", rest)]
     assert unused == [], f"{path.name} imports {unused} without using them"
+
+
+PACKAGE = {p.stem: p for p in Path(rebac.__file__).parent.glob("*.py")}
+
+
+def _parsed():
+    return {name: ast.parse(path.read_text(encoding="utf-8"))
+            for name, path in PACKAGE.items()}
+
+
+def test_relative_imports_form_no_cycle():
+    """Every relative import, at any nesting level, is an edge; ``from .
+    import x`` targets module x, or the package itself when x is not a
+    module.  Modules that import nothing left, or that nothing left
+    imports, are peeled off until none remain; the rest lie on a cycle."""
+    edges: dict[str, set[str]] = {}
+    for name, tree in _parsed().items():
+        targets = edges.setdefault(name, set())
+        for node in ast.walk(tree):
+            if isinstance(node, ast.ImportFrom) and node.level:
+                names = [node.module] if node.module else [a.name for a in node.names]
+                targets |= {n.split(".")[0] if n.split(".")[0] in PACKAGE else "__init__"
+                            for n in names}
+    while peel := [m for m, deps in edges.items()
+                   if not deps & edges.keys() or not any(m in d for d in edges.values())]:
+        for m in peel:
+            del edges[m]
+    assert edges == {}, f"import cycle among {sorted(edges)}"
+
+
+def test_no_type_checking_imports():
+    """An import deferred behind ``TYPE_CHECKING`` hides a dependency
+    from the cycle gate above."""
+    users = sorted({name for name, tree in _parsed().items() for node in ast.walk(tree)
+                   if "TYPE_CHECKING" in (getattr(node, "id", None),
+                                          getattr(node, "attr", None),
+                                          getattr(node, "name", None))})
+    assert users == [], f"{users} use TYPE_CHECKING"

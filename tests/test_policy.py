@@ -1,4 +1,5 @@
 import copy
+import json
 
 import pytest
 from hypothesis import given, settings
@@ -12,6 +13,7 @@ from rebac.policy import (
     attach_policy,
     guard_from_json,
     load_policy,
+    policy_document,
     satisfies,
     validate,
 )
@@ -49,6 +51,12 @@ class TestGuards:
         with pytest.raises(PolicyError):
             guard_from_json(["one-of"])
 
+    @pytest.mark.parametrize("privileges", ["view-record", ["view-record", None], None],
+                             ids=["string", "list-with-null", "null"])
+    def test_guard_privileges_must_be_a_list_of_strings(self, privileges):
+        with pytest.raises(PolicyError, match="guard.privileges"):
+            guard_from_json({"kind": "one-of", "privileges": privileges})
+
     @given(q=st.frozensets(st.sampled_from("abcdef")), extra=st.frozensets(st.sampled_from("abcdef")),
            privileges=PRIVS, kind=st.sampled_from(["one-of", "all-of"]))
     @settings(max_examples=300, deadline=None)
@@ -71,6 +79,17 @@ class TestLoadAndValidate:
         store = load_policy({})
         assert validate(store) == []
         assert store.matching_rules == {} and store.authorization_rules == {}
+
+    def test_policy_document_round_trips(self):
+        store = load_policy(copy.deepcopy(REFERRAL_POLICY))
+        assert store.admin_actions and store.owners
+        assert load_policy(json.loads(json.dumps(policy_document(store)))) == store
+
+    def test_repeated_formula_id_is_diagnosed_after_an_invalid_one(self):
+        doc = {"formulas": [{"id": "f", "vars": [], "text": "<gp"},
+                            {"id": "f", "vars": [], "text": "true"}]}
+        codes = [d.code for d in load_policy(doc).load_issues]
+        assert codes == ["invalid-formula", "duplicate-formula"]
 
     def test_referral_fixture_is_valid(self):
         store = load_policy(copy.deepcopy(REFERRAL_POLICY))
@@ -206,3 +225,13 @@ class TestAttach:
         g = AuthorizationGraph()
         attach_policy(g, store)
         assert g.relations() == {"soft": USER_MANAGED}
+
+    @pytest.mark.parametrize("doc", [
+        {"owners": [{"resource": "rec 1", "owner": "p1"}]},
+        {"owners": [{"resource": "", "owner": "p1"}]},
+        {"relations": [{"name": "gp\n", "category": "user-managed"}]},
+    ], ids=["resource-with-space", "empty-resource", "relation-with-newline"])
+    def test_identifiers_the_edge_list_cannot_carry_are_rejected(self, doc):
+        graph, _ = build_referral_system()
+        with pytest.raises(ValueError):
+            attach_policy(graph, load_policy(doc))

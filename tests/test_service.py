@@ -189,6 +189,20 @@ class TestProtocol:
             assert reply["ok"] is False
             assert reply["error"]["code"] == "policy"
 
+    @pytest.mark.parametrize("request_", [
+        {"op": "check", "resource": "rec1", "user": "d1",
+         "guard": {"kind": "one-of", "privileges": "view-record"}},
+        {"op": "admin.exec", "action": "Referral", "user": "d1", "patient": "p1",
+         "bindings": {"specialist": None}},
+        {"op": "filter", "user": "d1", "guard": GUARD, "resources": ["rec1", 7]},
+        {"op": "check", "resource": "rec1", "user": "d1"},
+    ], ids=["string-privileges", "null-binding", "non-string-resource", "missing-guard"])
+    def test_malformed_operands_are_policy_errors(self, server, request_):
+        with client_for(server) as c:
+            reply = c.call(request_)
+            assert reply["ok"] is False
+            assert reply["error"]["code"] == "policy"
+
     def test_non_object_request(self, server):
         with client_for(server) as c:
             reply = c.call_raw(json.dumps(["check"]).encode())

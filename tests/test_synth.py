@@ -84,6 +84,11 @@ class TestGraph:
         assert len(g.vertices()) == 600
         assert len(g.edge_set()) == 4000
 
+    @pytest.mark.parametrize("edges, error", [(0, InfeasibleScale), (10, ValueError)])
+    def test_zero_nodes_is_honoured_not_defaulted(self, edges, error):
+        with pytest.raises(error):
+            synth_graph(SynthConfig(seed=1, scale=0.1, graph_source=GeneratedGraph(0, edges)))
+
     def test_users_are_top_indegree_nodes(self, tmp_path):
         raw = tmp_path / "pairs.txt"
         raw.write_text("# toy digraph\na b\nc b\na c\nd c\nb d\n", encoding="utf-8")
