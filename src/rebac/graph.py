@@ -209,8 +209,10 @@ class AuthorizationGraph:
         self._require_edge_update(s, rel, d)
         if d not in self._out(s, rel):
             raise DeleteMissingEdge(f"edge ({s}, {rel}, {d}) not present")
-        self._fwd[(s, rel)].discard(d)
-        self._rev[(d, rel)].discard(s)
+        for index, key, v in ((self._fwd, (s, rel), d), (self._rev, (d, rel), s)):
+            index[key].remove(v)
+            if not index[key]:  # drop the key with its last neighbor
+                del index[key]
 
     def add_owners(self, owners: Mapping[str, Iterable[str]]) -> None:
         """Load a resource->owners table as system-induced ``owner`` edges.
@@ -240,31 +242,53 @@ class AuthorizationGraph:
 
 
 def load_graph(text: str) -> AuthorizationGraph:
+    return _load_lines(text.splitlines())
+
+
+def _load_lines(lines: Iterable[str]) -> AuthorizationGraph:
     g = AuthorizationGraph()
+    fwd, rev, relations = g._fwd, g._rev, g._relations
+    # Each vertex id and relation name maps to itself, so the index keeps
+    # the string its V or R line created, not fresh copies from each E line.
+    ids: dict[str, str] = {}
+    names: dict[str, str] = {}
     with g.write():
-        for lineno, raw in enumerate(text.splitlines(), start=1):
-            line = raw.strip()
-            if not line or line.startswith("#"):
+        for lineno, raw in enumerate(lines, start=1):
+            fields = raw.split()
+            if not fields or fields[0].startswith("#"):
                 continue
-            fields = line.split()
             tag = fields[0]
             try:
-                if tag == "R":
-                    if len(fields) != 3:
-                        raise ParseError("R line needs <name> <category>", lineno)
-                    g.declare_relation(fields[1], fields[2])
+                if tag == "E":
+                    # add_edge's checks, in its order, without its calls.
+                    if len(fields) != 4:
+                        raise ParseError("E line needs <src> <rel> <dst>", lineno)
+                    _, s, rel, d = fields
+                    category = relations.get(rel)
+                    if category is None:
+                        raise UnknownRelation(rel)
+                    if category == SYSTEM_INDUCED:
+                        raise ReadOnlyRelation(rel)
+                    rel, src, dst = names[rel], ids.get(s), ids.get(d)
+                    if src is None or dst is None:
+                        raise UnknownVertex(s if src is None else d)
+                    dsts = fwd.setdefault((src, rel), set())
+                    if dst in dsts:
+                        raise AddExistingEdge(f"edge ({s}, {rel}, {d}) already present")
+                    dsts.add(dst)
+                    rev.setdefault((dst, rel), set()).add(src)
                 elif tag == "V":
                     if len(fields) != 3:
                         raise ParseError("V line needs <id> <kind>", lineno)
                     g.add_vertex(fields[1], fields[2])
-                elif tag == "E":
-                    if len(fields) != 4:
-                        raise ParseError("E line needs <src> <rel> <dst>", lineno)
-                    g.add_edge(fields[1], fields[2], fields[3])
+                    ids[fields[1]] = fields[1]
+                elif tag == "R":
+                    if len(fields) != 3:
+                        raise ParseError("R line needs <name> <category>", lineno)
+                    g.declare_relation(fields[1], fields[2])
+                    names[fields[1]] = fields[1]
                 else:
                     raise ParseError(f"unknown directive {tag!r}", lineno)
-            except ParseError:
-                raise
             except (ValueError, DuplicateRelation, AddExistingEdge, UnknownVertex,
                     UnknownRelation, ReadOnlyRelation) as exc:
                 raise ParseError(str(exc), lineno) from exc
@@ -286,8 +310,10 @@ def save_graph(g: AuthorizationGraph) -> str:
 
 
 def load_graph_file(path) -> AuthorizationGraph:
+    """Load an edge-list file one line at a time.  Every stored edge
+    endpoint is its vertex's own id string, shared by all its edges."""
     with open(path, "r", encoding="utf-8") as fh:
-        return load_graph(fh.read())
+        return _load_lines(fh)
 
 
 def save_graph_file(g: AuthorizationGraph, path) -> None:

@@ -169,6 +169,16 @@ class TestMutation:
         assert not g.has_edge("p", "gp", "d1")
         assert g.in_neighbors("d1", "gp") == set()
 
+    def test_add_then_delete_leaves_no_empty_neighbor_sets(self):
+        g = tiny_graph()
+        fwd = {key: set(v) for key, v in g._fwd.items()}
+        rev = {key: set(v) for key, v in g._rev.items()}
+        with g.write():
+            g.add_edge("d1", "referrer", "d2")
+            g.del_edge("d1", "referrer", "d2")
+        assert g._fwd == fwd
+        assert g._rev == rev
+
     @pytest.mark.parametrize("situation", [
         _outside_any_section,
         _inside_read_section,
@@ -270,6 +280,25 @@ class TestOwnerProvider:
             g.add_owners({"ghost": ("p",)})
 
 
+MALFORMED_EDGE_LISTS = [
+    ("R gp\n", 1),
+    ("V p patient\nE p gp p\n", 2),  # undeclared relation
+    ("R gp user-managed\nE p gp d\n", 2),  # undeclared vertices
+    ("X what\n", 1),
+    ("V p vegetable\n", 1),
+    ("R gp user-managed\nR gp user-managed\n", 2),
+    ("R gp made-up-category\n", 1),
+    ("R 9gp user-managed\n", 1),
+    ("R gp user-managed\nV p patient\nV p patient\n", 3),
+    ("R owner system-induced\nV r resource\nV p patient\nE r owner p\n", 4),  # read-only
+    ("R gp user-managed\nV d user\nE p gp d\n", 3),  # unknown source
+    ("R gp user-managed\nV p patient\nE p gp d\n", 3),  # unknown destination
+    ("R gp user-managed\nV p patient\nE p gp\n", 3),
+    ("R gp user-managed\nV p patient\nE p gp p p\n", 3),
+    ("R gp user-managed\nV p patient\nV d user\nV e user\nE p gp d\nE p gp e\nE p gp d\n", 7),
+]
+
+
 class TestEdgeListFormat:
     def test_empty_text_gives_empty_graph(self):
         g = load_graph("")
@@ -286,21 +315,54 @@ class TestEdgeListFormat:
         g = load_graph("# heading\n\nR gp user-managed\nV a user\n")
         assert g.vertices() == {"a": "user"}
 
-    @pytest.mark.parametrize("text,lineno", [
-        ("R gp\n", 1),
-        ("V p patient\nE p gp p\n", 2),  # undeclared relation
-        ("R gp user-managed\nE p gp d\n", 2),  # undeclared vertices
-        ("X what\n", 1),
-        ("V p vegetable\n", 1),
-        ("R gp user-managed\nR gp user-managed\n", 2),
-        ("R gp made-up-category\n", 1),
-        ("R 9gp user-managed\n", 1),
-        ("R gp user-managed\nV p patient\nV p patient\n", 3),
-    ])
+    @pytest.mark.parametrize("text,lineno", MALFORMED_EDGE_LISTS)
     def test_parse_error_carries_line_number(self, text, lineno):
         with pytest.raises(ParseError) as exc:
             load_graph(text)
         assert exc.value.location == lineno
+
+    @pytest.mark.parametrize("text,lineno", MALFORMED_EDGE_LISTS)
+    def test_file_and_text_fail_at_the_same_line(self, tmp_path, text, lineno):
+        path = tmp_path / "graph.txt"
+        path.write_text(text, encoding="utf-8")
+        with pytest.raises(ParseError) as from_text:
+            load_graph(text)
+        with pytest.raises(ParseError) as from_file:
+            load_graph_file(path)
+        assert from_file.value.location == from_text.value.location == lineno
+
+    @pytest.mark.parametrize("vertices,named", [
+        ("V d user\n", "p"), ("V p patient\n", "d"), ("", "p"),  # source first, as add_edge
+    ], ids=["source", "destination", "both"])
+    def test_unknown_endpoint_is_named(self, vertices, named):
+        with pytest.raises(ParseError, match=f"^{named} "):
+            load_graph(f"R gp user-managed\n{vertices}E p gp d\n")
+
+    def test_crlf_file_loads_like_its_lf_copy(self, tmp_path):
+        text = save_graph(tiny_graph())
+        lf, crlf = tmp_path / "lf.txt", tmp_path / "crlf.txt"
+        lf.write_bytes(text.encode())
+        crlf.write_bytes(text.replace("\n", "\r\n").encode())
+        assert b"\r\n" in crlf.read_bytes()
+        assert load_graph_file(crlf).edge_set() == load_graph_file(lf).edge_set()
+        assert load_graph_file(lf).edge_set() == tiny_graph().edge_set()
+
+    @pytest.mark.parametrize("from_file", [True, False], ids=["file", "text"])
+    def test_edges_share_the_vertex_and_relation_strings(self, tmp_path, from_file):
+        # multi-character ids: CPython caches one-character strings anyway
+        text = ("R gp user-managed\nR referrer access-control\nV pat1 patient\n"
+                "V doc1 user\nV doc2 user\nE pat1 gp doc1\nE pat1 gp doc2\n"
+                "E doc2 referrer doc1\n")
+        path = tmp_path / "graph.txt"
+        path.write_text(text, encoding="utf-8")
+        g = load_graph_file(path) if from_file else load_graph(text)
+        vertex = {v: v for v in g._vertices}
+        relation = {r: r for r in g._relations}
+        assert len(g.edge_set()) == 3
+        for index in (g._fwd, g._rev):
+            for (v, rel), neighbors in index.items():
+                assert v is vertex[v] and rel is relation[rel]
+                assert all(n is vertex[n] for n in neighbors)
 
     def test_duplicate_edge_rejected(self):
         text = "R gp user-managed\nV p patient\nV d user\nE p gp d\nE p gp d\n"
