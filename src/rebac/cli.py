@@ -8,7 +8,6 @@ an ``@path`` prefix.
 from __future__ import annotations
 
 import argparse
-import gc
 import json
 import sys
 from pathlib import Path
@@ -131,9 +130,6 @@ def _cmd_serve(args) -> int:
     server = service.PdpServer((host or "127.0.0.1", int(port)), graph, store,
                                _engine_config(args))
     print(f"listening on {args.listen}", file=sys.stderr)
-    # The server's choice, not the library's: keep the loaded state out of
-    # full GC passes, which walk it for ~0.2 s at desk scale mid-request.
-    gc.freeze()
     with server:
         server.serve_forever()
     return 0

@@ -22,6 +22,7 @@ transaction, never a torn intermediate.
 
 from __future__ import annotations
 
+import io
 import os
 import re
 import secrets
@@ -242,12 +243,12 @@ class AuthorizationGraph:
 
 
 def load_graph(text: str) -> AuthorizationGraph:
-    return _load_lines(text.splitlines())
+    # Universal newlines, as a file read in text mode splits its lines.
+    return _load_lines(io.StringIO(text, newline=None))
 
 
 def _load_lines(lines: Iterable[str]) -> AuthorizationGraph:
     g = AuthorizationGraph()
-    fwd, rev, relations = g._fwd, g._rev, g._relations
     # Each vertex id and relation name maps to itself, so the index keeps
     # the string its V or R line created, not fresh copies from each E line.
     ids: dict[str, str] = {}
@@ -260,23 +261,10 @@ def _load_lines(lines: Iterable[str]) -> AuthorizationGraph:
             tag = fields[0]
             try:
                 if tag == "E":
-                    # add_edge's checks, in its order, without its calls.
                     if len(fields) != 4:
                         raise ParseError("E line needs <src> <rel> <dst>", lineno)
                     _, s, rel, d = fields
-                    category = relations.get(rel)
-                    if category is None:
-                        raise UnknownRelation(rel)
-                    if category == SYSTEM_INDUCED:
-                        raise ReadOnlyRelation(rel)
-                    rel, src, dst = names[rel], ids.get(s), ids.get(d)
-                    if src is None or dst is None:
-                        raise UnknownVertex(s if src is None else d)
-                    dsts = fwd.setdefault((src, rel), set())
-                    if dst in dsts:
-                        raise AddExistingEdge(f"edge ({s}, {rel}, {d}) already present")
-                    dsts.add(dst)
-                    rev.setdefault((dst, rel), set()).add(src)
+                    g.add_edge(ids.get(s, s), names.get(rel, rel), ids.get(d, d))
                 elif tag == "V":
                     if len(fields) != 3:
                         raise ParseError("V line needs <id> <kind>", lineno)

@@ -8,7 +8,6 @@ import time
 import pytest
 
 import rebac
-from rebac import cli, service
 from rebac.cli import main
 
 from .conftest import REFERRAL_GRAPH, REFERRAL_POLICY
@@ -214,21 +213,6 @@ def test_malformed_input_is_an_error_not_a_traceback(fixture_dir, capsys, case):
     err = capsys.readouterr().err
     assert err.startswith("error:")
     assert "Traceback" not in err
-
-
-def test_serve_freezes_the_loaded_state_just_before_serving(fixture_dir, monkeypatch):
-    calls = []
-    attach = cli.attach_policy
-
-    def record_attach(graph, store):
-        attach(graph, store)
-        calls.append("attach")
-
-    monkeypatch.setattr(cli, "attach_policy", record_attach)
-    monkeypatch.setattr(cli.gc, "freeze", lambda: calls.append("freeze"))
-    monkeypatch.setattr(service.PdpServer, "serve_forever", lambda self: calls.append("serve"))
-    assert main(["serve", *system_args(fixture_dir), "--listen", "127.0.0.1:0"]) == 0
-    assert calls == ["attach", "freeze", "serve"]
 
 
 def _free_port() -> int:

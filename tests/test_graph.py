@@ -296,6 +296,8 @@ MALFORMED_EDGE_LISTS = [
     ("R gp user-managed\nV p patient\nE p gp\n", 3),
     ("R gp user-managed\nV p patient\nE p gp p p\n", 3),
     ("R gp user-managed\nV p patient\nV d user\nV e user\nE p gp d\nE p gp e\nE p gp d\n", 7),
+    ("R gp user-managed\x85V p patient\n", 1),  # \x85 does not end a line
+    ("R gp user-managed\nV p patient\u2028V d user\n", 2),  # nor does \u2028
 ]
 
 
@@ -346,6 +348,17 @@ class TestEdgeListFormat:
         assert b"\r\n" in crlf.read_bytes()
         assert load_graph_file(crlf).edge_set() == load_graph_file(lf).edge_set()
         assert load_graph_file(lf).edge_set() == tiny_graph().edge_set()
+
+    @pytest.mark.parametrize("from_file", [True, False], ids=["file", "text"])
+    def test_only_newlines_end_a_line(self, tmp_path, from_file):
+        # the comment runs on past \u2028 and \x85, hiding both E lines
+        text = ("R gp user-managed\nV pat1 patient\nV doc1 user\nV doc2 user\n"
+                "# note\u2028E pat1 gp doc1\x85E pat1 gp doc2\n")
+        path = tmp_path / "graph.txt"
+        path.write_text(text, encoding="utf-8")
+        g = load_graph_file(path) if from_file else load_graph(text)
+        assert g.edge_set() == frozenset()
+        assert len(g.vertices()) == 3
 
     @pytest.mark.parametrize("from_file", [True, False], ids=["file", "text"])
     def test_edges_share_the_vertex_and_relation_strings(self, tmp_path, from_file):
