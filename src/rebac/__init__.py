@@ -9,8 +9,8 @@ atomic access-control edge updates, a workload synthesizer, a TCP
 decision service and a CLI.
 """
 
-from .decision import Decision, Trace
-from .engine import AccessRequest, EngineConfig, check, enabled_principals, filter_collection
+from .engine import (AccessRequest, Decision, EngineConfig, Trace, check, enabled_principals,
+                     filter_collection)
 from .errors import RebacError
 from .graph import AuthorizationGraph, load_graph, save_graph
 from .hl import Formula, evaluate, parse, relationship_predicate, unparse

@@ -28,7 +28,7 @@ from .errors import (
     UnknownAction,
 )
 from .graph import ACCESS_CONTROL, AuthorizationGraph
-from .policy import PolicyStore
+from .policy import PRIMARY_PARTICIPANTS, PolicyStore
 
 # Binding: participant name -> vertex id, total over the declaration's
 # participants plus the two primaries.
@@ -39,6 +39,16 @@ Binding = Mapping[str, str]
 class ExecutionReport:
     action: str
     applied: tuple[tuple[str, str, str, str], ...]  # (op, rel, src, dst)
+
+
+def bind(user: str, patient: str, participants: Mapping[str, str]) -> dict[str, str]:
+    """The binding of one run: the acting ``user``, the ``patient`` and the
+    named auxiliary participants.  An auxiliary name may not be a primary
+    one, which would move the enabling check onto someone else."""
+    for name in PRIMARY_PARTICIPANTS:
+        if name in participants:
+            raise PolicyError(f"binding may not rename the primary participant {name!r}")
+    return {"user": user, "patient": patient, **participants}
 
 
 def _holds(store: PolicyStore, graph: AuthorizationGraph, action_id: str,

@@ -97,13 +97,14 @@ def _cmd_admin_list(args) -> int:
 
 def _cmd_admin_exec(args) -> int:
     graph, store = _load_system(args)
-    binding = {"user": args.user, "patient": args.patient}
+    participants = {}
     for pair in args.bind:
         name, sep, vertex = pair.partition("=")
         if not sep or not name or not vertex:
             print(f"--bind expects name=vertex, got {pair!r}", file=sys.stderr)
             return 2
-        binding[name] = vertex
+        participants[name] = vertex
+    binding = admin_mod.bind(args.user, args.patient, participants)
     report = admin_mod.execute_action(store, graph, args.action, binding)
     for op, rel, src, dst in report.applied:
         print(f"{op} {rel} {src} {dst}")

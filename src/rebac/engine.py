@@ -27,11 +27,10 @@ allowed when both mechanisms allow it.
 from __future__ import annotations
 
 import time
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Iterable
 
 from . import hl
-from .decision import Decision, Trace
 from .errors import EvaluationError, RebacError, UnknownVertex
 from .graph import AuthorizationGraph
 from .policy import Guard, PolicyStore, satisfies
@@ -40,6 +39,36 @@ from .rbac import RbacTables, rbac_privileges
 SEMANTICS = ("liberal", "strict")
 STRATEGIES = ("eager", "lazy")
 MODES = ("rbac-only", "rebac-only", "both")
+
+
+@dataclass
+class Trace:
+    """What one check did: principal loop size, predicate work, cache reuse.
+
+    ``enabled_principals`` is populated only when the full enabled set was
+    computed (eager matching); lazy matching leaves it ``None``.
+    """
+
+    principals_considered: int = 0
+    formulas_evaluated: int = 0
+    cache_hits: int = 0
+    enabled_principals: frozenset[str] | None = None
+    elapsed_us: float = 0.0
+
+    def to_json(self) -> dict:
+        enabled = self.enabled_principals
+        return {**vars(self), "enabled_principals": None if enabled is None else sorted(enabled)}
+
+
+@dataclass
+class Decision:
+    """The answer to one request, with the work counters of the check."""
+
+    allow: bool
+    trace: Trace = field(default_factory=Trace)
+
+    def to_json(self) -> dict:
+        return {"allow": self.allow, "trace": self.trace.to_json()}
 
 
 @dataclass(frozen=True)

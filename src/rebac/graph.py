@@ -284,16 +284,12 @@ def _load_lines(lines: Iterable[str]) -> AuthorizationGraph:
 
 
 def save_graph(g: AuthorizationGraph) -> str:
-    lines: list[str] = []
     with g.read():
-        for name, category in sorted(g._relations.items()):
-            if category != SYSTEM_INDUCED:
-                lines.append(f"R {name} {category}")
-        for vid, kind in sorted(g._vertices.items()):
-            lines.append(f"V {vid} {kind}")
+        lines = [f"R {name} {category}" for name, category in sorted(g._relations.items())
+                 if category != SYSTEM_INDUCED]
+        lines += [f"V {vid} {kind}" for vid, kind in sorted(g._vertices.items())]
         stored = (e for e in g._edges() if g._relations[e[1]] != SYSTEM_INDUCED)
-        for s, rel, d in sorted(stored):
-            lines.append(f"E {s} {rel} {d}")
+        lines += [f"E {s} {rel} {d}" for s, rel, d in sorted(stored)]
     return "\n".join(lines) + "\n"
 
 
@@ -305,8 +301,10 @@ def load_graph_file(path) -> AuthorizationGraph:
 
 
 def save_graph_file(g: AuthorizationGraph, path) -> None:
-    """Atomically replace ``path`` with the saved graph: write a temp file
-    in the same directory, then rename it over the target.
+    """Atomically and durably replace ``path`` with the saved graph: write
+    and fsync a temp file in the same directory, rename it over the
+    target, then fsync the directory, so a crash leaves the old graph or
+    the new one and never a partial file.
 
     An existing target keeps its permission bits; a new one gets the mode
     ``open(path, "w")`` would give it, 0o666 less the umask."""
@@ -320,6 +318,8 @@ def save_graph_file(g: AuthorizationGraph, path) -> None:
     try:
         with os.fdopen(fd, "w", encoding="utf-8") as fh:
             fh.write(save_graph(g))
+            fh.flush()
+            os.fsync(fh.fileno())
         if mode is not None:
             os.chmod(tmp, mode)
         os.replace(tmp, path)
@@ -327,3 +327,8 @@ def save_graph_file(g: AuthorizationGraph, path) -> None:
         if os.path.exists(tmp):
             os.unlink(tmp)
         raise
+    dir_fd = os.open(directory, os.O_RDONLY)
+    try:
+        os.fsync(dir_fd)
+    finally:
+        os.close(dir_fd)

@@ -29,7 +29,7 @@ from __future__ import annotations
 
 import re
 from dataclasses import dataclass
-from typing import Mapping, Union
+from typing import Callable, Mapping, Union
 
 from .errors import ArityMismatch, NotAnchored, ParseError, UnknownVariable
 from .graph import IDENT, AuthorizationGraph
@@ -145,9 +145,10 @@ def validate(formula: Formula) -> None:
 
 _TOKEN = re.compile(rf"\s*(?:({IDENT.pattern})|([@<>\-!&|()]))")
 
-# Deepest nesting of unary operators and parentheses the parser accepts.
-# Corpus formulas nest about six levels; the cap keeps the recursive
-# parser, validator and evaluator well inside Python's recursion limit.
+# Deepest nesting the parser accepts, counting unary operators, parentheses
+# and the links of `|` and `&` chains (one tree level each), so no parsed
+# tree is deeper.  Corpus formulas nest about six levels; the cap keeps the
+# recursive parser, validator and evaluator inside Python's recursion limit.
 MAX_NESTING = 100
 
 
@@ -190,45 +191,56 @@ class _Parser:
             raise ParseError(f"expected {what}, found {tok[1] or 'end of input'!r}", tok[2])
         return tok
 
+    def _check_nesting(self, levels: int, pos: int) -> None:
+        if levels > MAX_NESTING:
+            raise ParseError(f"formula nests deeper than {MAX_NESTING} levels", pos)
+
     def formula(self) -> Node:
-        node = self._disj()
+        node, _ = self._disj()
         tok = self._peek()
         if tok[0] != "end":
             raise ParseError(f"unexpected {tok[1]!r}", tok[2])
         return node
 
-    def _disj(self) -> Node:
-        node = self._conj()
-        while self._peek()[0] == "|":
-            self._next()
-            node = Or(node, self._conj())
-        return node
+    # Each method below returns a subtree and its height in nodes.
 
-    def _conj(self) -> Node:
-        node = self._unary()
-        while self._peek()[0] == "&":
-            self._next()
-            node = And(node, self._unary())
-        return node
+    def _disj(self) -> tuple[Node, int]:
+        return self._chain("|", Or, self._conj)
 
-    def _unary(self) -> Node:
+    def _conj(self) -> tuple[Node, int]:
+        return self._chain("&", And, self._unary)
+
+    def _chain(self, op: str, join: type[Or] | type[And],
+               operand: Callable[[], tuple[Node, int]]) -> tuple[Node, int]:
+        """A left-deep chain of operands joined by ``op``; the enclosing
+        levels plus its height stay within the cap."""
+        node, height = operand()
+        while self._peek()[0] == op:
+            pos = self._next()[2]
+            right, right_height = operand()
+            node, height = join(node, right), 1 + max(height, right_height)
+            self._check_nesting(self._depth + height, pos)
+        return node, height
+
+    def _unary(self) -> tuple[Node, int]:
         kind, _, pos = self._peek()
-        if self._depth >= MAX_NESTING:
-            raise ParseError(f"formula nests deeper than {MAX_NESTING} levels", pos)
+        self._check_nesting(self._depth + 1, pos)
         self._depth += 1
         try:
             return self._nested(kind)
         finally:
             self._depth -= 1
 
-    def _nested(self, kind: str) -> Node:
+    def _nested(self, kind: str) -> tuple[Node, int]:
         if kind == "!":
             self._next()
-            return Not(self._unary())
+            sub, height = self._unary()
+            return Not(sub), height + 1
         if kind == "@":
             self._next()
             name = self._expect("ident", "a variable name")[1]
-            return At(name, self._unary())
+            sub, height = self._unary()
+            return At(name, sub), height + 1
         if kind == "<":
             self._next()
             inverse = False
@@ -237,21 +249,22 @@ class _Parser:
                 inverse = True
             rel = self._expect("ident", "a relation name")[1]
             self._expect(">", "'>'")
-            return Diamond(rel, inverse, self._unary())
+            sub, height = self._unary()
+            return Diamond(rel, inverse, sub), height + 1
         return self._primary()
 
-    def _primary(self) -> Node:
+    def _primary(self) -> tuple[Node, int]:
         kind, value, pos = self._next()
         if kind == "ident":
             if value == "true":
-                return Const(True)
+                return Const(True), 1
             if value == "false":
-                return Const(False)
-            return Var(value)
+                return Const(False), 1
+            return Var(value), 1
         if kind == "(":
-            node = self._disj()
+            inner = self._disj()
             self._expect(")", "')'")
-            return node
+            return inner
         raise ParseError(f"expected a formula, found {value or 'end of input'!r}", pos)
 
 

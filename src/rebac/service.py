@@ -28,7 +28,6 @@ from __future__ import annotations
 
 import json
 import logging
-import socket
 import socketserver
 import threading
 import time
@@ -167,43 +166,11 @@ class PdpServer(socketserver.ThreadingTCPServer):
             bindings = request.get("bindings", {})
             if not isinstance(bindings, Mapping):
                 raise PolicyError("'bindings' must be an object")
-            binding = {
-                "user": field("user"),
-                "patient": field("patient"),
-                **{name: str_field(bindings, name, "bindings") for name in bindings},
-            }
+            binding = admin.bind(field("user"), field("patient"), {
+                name: str_field(bindings, name, "bindings") for name in bindings})
             report = admin.execute_action(
                 self.store, self.graph, field("action"), binding)
             return {"action": report.action,
                     "applied": [list(u) for u in report.applied]}
         raise PolicyError(f"unknown op {op!r}")
 
-
-class PdpClient:
-    """Minimal line-oriented client, mainly for tests and scripting."""
-
-    def __init__(self, host: str, port: int, timeout: float = 10.0):
-        self._sock = socket.create_connection((host, port), timeout=timeout)
-        self._file = self._sock.makefile("rwb")
-
-    def call(self, request: dict) -> dict:
-        return self.call_raw(json.dumps(request).encode("utf-8"))
-
-    def call_raw(self, line: bytes) -> dict:
-        self._file.write(line + b"\n")
-        self._file.flush()
-        reply = self._file.readline()
-        if not reply:
-            raise ConnectionError("server closed connection")
-        return json.loads(reply)
-
-    def close(self) -> None:
-        self._file.close()
-        self._sock.close()
-
-    def __enter__(self):
-        return self
-
-    def __exit__(self, *exc):
-        self.close()
-        return False

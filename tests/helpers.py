@@ -1,5 +1,7 @@
 """Shared test machinery: the brute-force model-checking oracle, random
-graph/formula generators, and relationship-only decisions.
+graph/formula generators, relationship-only decisions, the replay of the
+paper's configuration matrix that criteria 05, 06 and 09 time, and a line
+client for the decision service.
 
 The oracle computes, bottom-up, the full satisfaction set of every
 subformula over all worlds; an anchored formula holds iff its set is the
@@ -9,13 +11,19 @@ cross-validates.
 
 from __future__ import annotations
 
+import json
 import random
+import socket
+import statistics
+import time
+from types import SimpleNamespace
 
-from rebac.decision import Decision
-from rebac.engine import AccessRequest, EngineConfig, check
+from rebac.engine import AccessRequest, Decision, EngineConfig, check
 from rebac.graph import USER_MANAGED, AuthorizationGraph
 from rebac.hl import And, At, Const, Diamond, Formula, Node, Not, Or, Var
 from rebac.policy import PolicyStore
+from rebac.prng import stream
+from rebac.synth import SynthesizedWorkload
 
 
 def satisfaction_set(node: Node, g: AuthorizationGraph, valuation: dict[str, str],
@@ -119,3 +127,72 @@ def rebac_decision(store: PolicyStore, graph: AuthorizationGraph, req: AccessReq
     """``engine.check`` in relationship-only mode."""
     cfg = EngineConfig(semantics=semantics, strategy=strategy, mode="rebac-only")
     return check(store, graph, store.rbac, req, cfg)
+
+
+def run_warmup(graph: AuthorizationGraph, seed: int) -> int:
+    """Issue the paper's 250 distinct neighbour queries, drawn from the
+    seed's "warmup" stream; returns how many were issued."""
+    vertices, relations = sorted(graph.vertices()), sorted(graph.relations())
+    rng = stream(seed, "warmup")
+    total = min(250, len(vertices) * len(relations))
+    issued: set[tuple[int, int]] = set()
+    while len(issued) < total:
+        key = (rng.randrange(len(vertices)), rng.randrange(len(relations)))
+        if key not in issued:
+            issued.add(key)
+            graph.out_neighbors(vertices[key[0]], relations[key[1]])
+    return total
+
+
+def run_bench(name: str, workload: SynthesizedWorkload) -> SimpleNamespace:
+    """Replay one of the paper's eight configurations, named as in its
+    tables: Ro/Re mode, One/All guard kind, Eg/Lz strategy, Lib/Str
+    semantics (RoOne, ReAllLzStr, ...).  After the warmup and the untimed
+    first half of the requests, report the second half's mean check
+    latency (``mean_us``) and formula evaluations (``mean_formula_evals``)."""
+    cfg = EngineConfig(mode="rbac-only" if name.startswith("Ro") else "rebac-only",
+                       strategy="lazy" if "Lz" in name else "eager",
+                       semantics="strict" if name.endswith("Str") else "liberal")
+    requests = workload.requests["one-of" if "One" in name else "all-of"]
+    graph, store = workload.graph, workload.store
+    run_warmup(graph, workload.cfg.seed)
+    latencies_us, evals = [], []
+    for i, req in enumerate(requests):
+        start = time.perf_counter()
+        decision = check(store, graph, store.rbac, req, cfg)
+        elapsed_us = (time.perf_counter() - start) * 1e6
+        if i >= len(requests) // 2:
+            latencies_us.append(elapsed_us)
+            evals.append(decision.trace.formulas_evaluated)
+    return SimpleNamespace(mean_us=statistics.fmean(latencies_us),
+                           mean_formula_evals=statistics.fmean(evals))
+
+
+class PdpClient:
+    """Minimal line-oriented client of ``rebac.service.PdpServer``."""
+
+    def __init__(self, host: str, port: int, timeout: float = 10.0):
+        self._sock = socket.create_connection((host, port), timeout=timeout)
+        self._file = self._sock.makefile("rwb")
+
+    def call(self, request: dict) -> dict:
+        return self.call_raw(json.dumps(request).encode("utf-8"))
+
+    def call_raw(self, line: bytes) -> dict:
+        self._file.write(line + b"\n")
+        self._file.flush()
+        reply = self._file.readline()
+        if not reply:
+            raise ConnectionError("server closed connection")
+        return json.loads(reply)
+
+    def close(self) -> None:
+        self._file.close()
+        self._sock.close()
+
+    def __enter__(self):
+        return self
+
+    def __exit__(self, *exc):
+        self.close()
+        return False

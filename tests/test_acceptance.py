@@ -17,13 +17,12 @@ import pytest
 
 from rebac import hl
 from rebac.admin import execute_action
-from rebac.bench import run_bench, run_warmup
 from rebac.engine import SEMANTICS, AccessRequest, EngineConfig, check
 from rebac.errors import AddExistingEdge
 from rebac.graph import AuthorizationGraph
 from rebac.policy import Guard, PolicyStore
 from rebac.prng import stream
-from rebac.service import PdpClient, PdpServer
+from rebac.service import PdpServer
 from rebac.synth import (
     GeneratedGraph,
     SynthConfig,
@@ -35,11 +34,14 @@ from rebac.synth import (
 
 from .conftest import build_referral_system
 from .helpers import (
+    PdpClient,
     brute_force_evaluate,
     random_formula,
     random_graph,
     random_valuation,
     rebac_decision,
+    run_bench,
+    run_warmup,
 )
 from .test_admin import BATCH_BINDING, build_batch_system, inject_fault_at
 

@@ -164,6 +164,14 @@ class TestSynthAndBench:
         lines = capsys.readouterr().out.splitlines()
         assert [line.split(":")[0] for line in lines] == ["error bangs", "error parens"]
 
+    def test_fmt_check_reports_a_long_chain_as_error(self, tmp_path, capsys):
+        corpus = [{"id": "chain", "vars": ["x", "y"], "text": " | ".join(["@x y"] * 1000)}]
+        path = tmp_path / "corpus.json"
+        path.write_text(json.dumps(corpus), encoding="utf-8")
+        assert main(["fmt", "check", str(path)]) == 1
+        out = capsys.readouterr().out
+        assert out.startswith("error chain:") and "nests deeper" in out
+
     def test_fmt_check_flags_a_repeated_id(self, tmp_path, capsys):
         corpus = [{"id": "bad", "vars": ["x"], "text": "<gp> x"},
                   {"id": "twice", "vars": ["x"], "text": "@x x"},
@@ -181,7 +189,7 @@ class TestSynthAndBench:
 MALFORMED = ["fmt-invalid-json", "fmt-formulas-not-a-list", "graph-not-utf8",
              "policy-not-utf8", "synth-scale-zero", "serve-bad-listen",
              "check-guard-not-json", "synth-nodes-zero", "fmt-entry-not-an-object",
-             "fmt-entry-without-id"]
+             "fmt-entry-without-id", "admin-bind-primary"]
 
 
 @pytest.mark.parametrize("case", MALFORMED)
@@ -206,6 +214,9 @@ def test_malformed_input_is_an_error_not_a_traceback(fixture_dir, capsys, case):
         "serve-bad-listen": ["serve", *system_args(fixture_dir), "--listen", "nope"],
         "check-guard-not-json": ["check", *system_args(fixture_dir), *request[:4],
                                  "--guard", "not json"],
+        "admin-bind-primary": ["admin", "exec", *system_args(fixture_dir),
+                               "--action", "Referral", "--user", "s1", "--patient", "p1",
+                               "--bind", "user=d1", "--bind", "specialist=s1"],
         "synth-nodes-zero": ["synth", "--seed", "1", "--scale", "0.1", "--nodes", "0",
                              "--edges", "0", "--out", str(fixture_dir / "out")],
     }[case]

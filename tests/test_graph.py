@@ -455,6 +455,28 @@ class TestSaveGraphFile:
         assert path.read_bytes() == original
         assert list(tmp_path.glob("*.tmp")) == []
 
+    def test_save_fsyncs_file_before_rename_and_directory_after(self, tmp_path,
+                                                                  monkeypatch):
+        path = tmp_path / "graph.txt"
+        size = len(save_graph(tiny_graph()).encode("utf-8"))
+        calls = []
+        real_fsync, real_replace = os.fsync, os.replace
+
+        def fsync(fd):
+            st = os.fstat(fd)
+            calls.append(("fsync", "dir" if stat.S_ISDIR(st.st_mode) else st.st_size))
+            real_fsync(fd)
+
+        def replace(src, dst):
+            calls.append(("replace", os.path.basename(dst)))
+            real_replace(src, dst)
+
+        monkeypatch.setattr(graph_mod.os, "fsync", fsync)
+        monkeypatch.setattr(graph_mod.os, "replace", replace)
+        save_graph_file(tiny_graph(), path)
+        assert calls == [("fsync", size), ("replace", "graph.txt"), ("fsync", "dir")]
+        assert path.read_text(encoding="utf-8") == save_graph(tiny_graph())
+
     @pytest.mark.parametrize("existing", [True, False], ids=["existing-0644", "new"])
     def test_save_keeps_the_mode_open_would_give(self, tmp_path, existing):
         path = tmp_path / "graph.txt"

@@ -98,6 +98,13 @@ class TestNestingLimit:
         with pytest.raises(ParseError, match="nests deeper"):
             hl.parse("!" * hl.MAX_NESTING + "true", [])
 
+    @pytest.mark.parametrize("op", ["|", "&"])
+    def test_each_chain_link_is_a_level(self, op):
+        at_limit = f" {op} ".join(["true"] * hl.MAX_NESTING)
+        assert hl.unparse(hl.parse(at_limit, [])) == at_limit
+        with pytest.raises(ParseError, match="nests deeper"):
+            hl.parse(f" {op} ".join(["true"] * (hl.MAX_NESTING + 1)), [])
+
 
 class TestUnparse:
     def test_round_trip_is_identity_on_text(self):

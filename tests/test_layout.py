@@ -39,11 +39,10 @@ def _parsed():
             for name, path in PACKAGE.items()}
 
 
-def test_relative_imports_form_no_cycle():
-    """Every relative import, at any nesting level, is an edge; ``from .
-    import x`` targets module x, or the package itself when x is not a
-    module.  Modules that import nothing left, or that nothing left
-    imports, are peeled off until none remain; the rest lie on a cycle."""
+def _relative_imports() -> dict[str, set[str]]:
+    """Module -> the modules it imports relatively, at any nesting level;
+    ``from . import x`` targets module x, or the package itself when x is
+    not a module."""
     edges: dict[str, set[str]] = {}
     for name, tree in _parsed().items():
         targets = edges.setdefault(name, set())
@@ -52,6 +51,13 @@ def test_relative_imports_form_no_cycle():
                 names = [node.module] if node.module else [a.name for a in node.names]
                 targets |= {n.split(".")[0] if n.split(".")[0] in PACKAGE else "__init__"
                             for n in names}
+    return edges
+
+
+def test_relative_imports_form_no_cycle():
+    """Modules that import nothing left, or that nothing left imports,
+    are peeled off until none remain; the rest lie on a cycle."""
+    edges = _relative_imports()
     while peel := [m for m, deps in edges.items()
                    if not deps & edges.keys() or not any(m in d for d in edges.values())]:
         for m in peel:
@@ -67,3 +73,15 @@ def test_no_type_checking_imports():
                                           getattr(node, "attr", None),
                                           getattr(node, "name", None))})
     assert users == [], f"{users} use TYPE_CHECKING"
+
+
+def test_every_module_is_reachable_from_the_package_or_the_cli():
+    """Code that only tests import does not belong in the package."""
+    edges = _relative_imports()
+    reached, todo = set(), ["__init__", "cli"]
+    while todo:
+        module = todo.pop()
+        if module not in reached:
+            reached.add(module)
+            todo.extend(edges[module])
+    assert sorted(PACKAGE.keys() - reached) == []

@@ -133,8 +133,10 @@ class TestLoadAndValidate:
         assert [d.code for d in validate(store)] == ["invalid-formula"]
 
     @pytest.mark.parametrize("text", ["!" * 5000 + "true",
-                                      "(" * 3000 + "true" + ")" * 3000],
-                             ids=["bangs", "parens"])
+                                      "(" * 3000 + "true" + ")" * 3000,
+                                      " | ".join(["true"] * 3000),
+                                      " & ".join(["true"] * 3000)],
+                             ids=["bangs", "parens", "or-chain", "and-chain"])
     def test_deeply_nested_formula_is_diagnosed(self, text):
         store = load_policy({"formulas": [{"id": "f", "vars": [], "text": text}]})
         issues = validate(store)

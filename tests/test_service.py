@@ -9,9 +9,10 @@ import pytest
 
 from rebac.engine import AccessRequest, EngineConfig, check
 from rebac.policy import guard_from_json
-from rebac.service import MAX_LINE_BYTES, PdpClient, PdpServer
+from rebac.service import MAX_LINE_BYTES, PdpServer
 
 from .conftest import build_referral_system
+from .helpers import PdpClient
 
 GUARD = {"kind": "one-of", "privileges": ["view-record"]}
 
@@ -196,7 +197,10 @@ class TestProtocol:
          "bindings": {"specialist": None}},
         {"op": "filter", "user": "d1", "guard": GUARD, "resources": ["rec1", 7]},
         {"op": "check", "resource": "rec1", "user": "d1"},
-    ], ids=["string-privileges", "null-binding", "non-string-resource", "missing-guard"])
+        {"op": "admin.exec", "action": "Referral", "user": "s1", "patient": "p1",
+         "bindings": {"user": "d1", "specialist": "s1"}},
+    ], ids=["string-privileges", "null-binding", "non-string-resource", "missing-guard",
+            "binding-renames-user"])
     def test_malformed_operands_are_policy_errors(self, server, request_):
         with client_for(server) as c:
             reply = c.call(request_)
