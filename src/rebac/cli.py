@@ -126,8 +126,10 @@ def _cmd_synth(args) -> int:
 
 
 def _cmd_serve(args) -> int:
-    graph, store = _load_system(args)
     host, _, port = args.listen.rpartition(":")
+    if not 0 <= int(port) <= 65535:
+        raise ValueError(f"port {port} is outside 0-65535")
+    graph, store = _load_system(args)
     server = service.PdpServer((host or "127.0.0.1", int(port)), graph, store,
                                _engine_config(args))
     print(f"listening on {args.listen}", file=sys.stderr)
@@ -145,13 +147,16 @@ def _cmd_fmt_check(args) -> int:
     # One diagnostic per failing entry, in entry order; an id is ok only
     # at its first, valid declaration.
     issues = iter(store.load_issues)
+    seen: set[str] = set()
     failures = 0
     for entry in entries:
-        if store.formulas.pop(entry["id"], None) is not None:
-            print(f"ok {entry['id']}")
+        fid = entry["id"]
+        if fid in store.formulas and fid not in seen:
+            print(f"ok {fid}")
         else:
             failures += 1
-            print(f"error {entry['id']}: {next(issues).message}")
+            print(f"error {fid}: {next(issues).message}")
+        seen.add(fid)
     return 1 if failures else 0
 
 

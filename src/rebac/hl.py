@@ -99,46 +99,32 @@ FormulaLibrary = dict[str, Formula]
 Valuation = Mapping[str, str]
 
 
-def is_anchored(node: Node) -> bool:
-    """True if the node is a Boolean combination of @-rooted subtrees."""
-    if isinstance(node, (At, Const)):
-        return True
-    if isinstance(node, Not):
-        return is_anchored(node.sub)
+def _check(node: Node, declared: frozenset[str], top: bool) -> None:
+    """Raise UnknownVariable for a ``Var`` or ``@x`` name not in ``declared``,
+    and NotAnchored for a ``Var`` or diamond in the Boolean top level."""
+    if top and isinstance(node, (Var, Diamond)):
+        raise NotAnchored("top level must be a Boolean combination of @-anchored parts")
+    if isinstance(node, (Var, At)):
+        name = node.name if isinstance(node, Var) else node.var
+        if name not in declared:
+            raise UnknownVariable(f"undeclared variable {name!r}")
     if isinstance(node, (And, Or)):
-        return is_anchored(node.left) and is_anchored(node.right)
-    return False
-
-
-def _names_used(node: Node, acc: set[str]) -> None:
-    if isinstance(node, Var):
-        acc.add(node.name)
-    elif isinstance(node, At):
-        acc.add(node.var)
-        _names_used(node.sub, acc)
-    elif isinstance(node, Not):
-        _names_used(node.sub, acc)
-    elif isinstance(node, Diamond):
-        _names_used(node.sub, acc)
-    elif isinstance(node, (And, Or)):
-        _names_used(node.left, acc)
-        _names_used(node.right, acc)
+        _check(node.left, declared, top)
+        _check(node.right, declared, top)
+    elif isinstance(node, (Not, Diamond, At)):
+        _check(node.sub, declared, top and isinstance(node, Not))
 
 
 def validate(formula: Formula) -> None:
     """Check declared-variable use and the anchored restriction."""
     for v in formula.vars:
-        if not IDENT.fullmatch(v):
+        # `true` and `false` parse as constants, so they cannot name a variable
+        if not IDENT.fullmatch(v) or v in ("true", "false"):
             raise UnknownVariable(f"invalid variable name {v!r}")
-    if len(set(formula.vars)) != len(formula.vars):
+    declared = frozenset(formula.vars)
+    if len(declared) != len(formula.vars):
         raise UnknownVariable("duplicate declared variable")
-    used: set[str] = set()
-    _names_used(formula.body, used)
-    undeclared = used - set(formula.vars)
-    if undeclared:
-        raise UnknownVariable(f"undeclared variable {sorted(undeclared)[0]!r}")
-    if not is_anchored(formula.body):
-        raise NotAnchored("top level must be a Boolean combination of @-anchored parts")
+    _check(formula.body, declared, True)
 
 
 # --- parsing ---
@@ -275,43 +261,29 @@ def parse(text: str, vars: list[str] | tuple[str, ...]) -> Formula:
 
 # --- unparsing ---
 
-_PREC_OR, _PREC_AND, _PREC_UNARY, _PREC_ATOM = 1, 2, 3, 4
-
-
-def _prec(node: Node) -> int:
-    if isinstance(node, Or):
-        return _PREC_OR
-    if isinstance(node, And):
-        return _PREC_AND
-    if isinstance(node, (Not, At, Diamond)):
-        return _PREC_UNARY
-    return _PREC_ATOM
+_PREC_OR, _PREC_AND, _PREC_UNARY = 1, 2, 3
 
 
 def _render(node: Node, floor: int) -> str:
+    """Text of ``node``, parenthesized if it binds looser than ``floor``.
+
+    Unary operators bind tightest and ``floor`` never exceeds
+    ``_PREC_UNARY``, so only ``&`` and ``|`` ever need parentheses."""
     if isinstance(node, Const):
-        text = "true" if node.value else "false"
-    elif isinstance(node, Var):
-        text = node.name
-    elif isinstance(node, Not):
-        text = "!" + _render(node.sub, _PREC_UNARY)
-    elif isinstance(node, At):
-        text = f"@{node.var} " + _render(node.sub, _PREC_UNARY)
-    elif isinstance(node, Diamond):
+        return "true" if node.value else "false"
+    if isinstance(node, Var):
+        return node.name
+    if isinstance(node, Not):
+        return "!" + _render(node.sub, _PREC_UNARY)
+    if isinstance(node, At):
+        return f"@{node.var} " + _render(node.sub, _PREC_UNARY)
+    if isinstance(node, Diamond):
         arrow = "-" if node.inverse else ""
-        text = f"<{arrow}{node.rel}> " + _render(node.sub, _PREC_UNARY)
-    elif isinstance(node, And):
-        # left-associative: parenthesize a right-nested And to round-trip
-        left = _render(node.left, _PREC_AND)
-        right = _render(node.right, _PREC_AND + 1)
-        text = f"{left} & {right}"
-    else:
-        left = _render(node.left, _PREC_OR)
-        right = _render(node.right, _PREC_OR + 1)
-        text = f"{left} | {right}"
-    if _prec(node) < floor:
-        return f"({text})"
-    return text
+        return f"<{arrow}{node.rel}> " + _render(node.sub, _PREC_UNARY)
+    # left-associative: parenthesize a right-nested chain to round-trip
+    prec, op = (_PREC_AND, "&") if isinstance(node, And) else (_PREC_OR, "|")
+    text = f"{_render(node.left, prec)} {op} {_render(node.right, prec + 1)}"
+    return f"({text})" if prec < floor else text
 
 
 def unparse(formula: Formula) -> str:

@@ -32,7 +32,7 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass, field
-from typing import AbstractSet, Iterable, Mapping
+from typing import AbstractSet, Any, Callable, Iterable, Iterator, Mapping
 
 from . import hl
 from .errors import PolicyError, RebacError
@@ -120,7 +120,7 @@ class Diagnostic:
         return f"[{self.code}] {self.subject}: {self.message}"
 
 
-@dataclass
+@dataclass(frozen=True)
 class PolicyStore:
     relations: dict[str, str] = field(default_factory=dict)
     formulas: hl.FormulaLibrary = field(default_factory=dict)
@@ -141,6 +141,23 @@ def _entries(doc: Mapping, key: str, where: str = "") -> Iterable[Mapping]:
         if not isinstance(entry, Mapping):
             raise PolicyError(f"{where}[{i}] must be an object")
         yield entry
+
+
+def _first_declarations(doc: Mapping, section: str, key: str, read: Callable[[Mapping], Any],
+                        code: str, repeat: str, issues: list[Diagnostic],
+                        where: str = "") -> Iterator[tuple[str, Any]]:
+    """Yield ``(id, read(entry))`` for the first entry of each ``key`` value
+    in a keyed section.  Every entry is read, so a malformed repeat still
+    raises; each repeat is recorded as a ``code`` diagnostic and skipped."""
+    seen: set[str] = set()
+    for entry in _entries(doc, section):
+        ident = str_field(entry, key, where or section)
+        value = read(entry)
+        if ident in seen:
+            issues.append(Diagnostic(code, ident, repeat))
+            continue
+        seen.add(ident)
+        yield ident, value
 
 
 def str_field(entry: Mapping, key: str, where: str) -> str:
@@ -183,59 +200,39 @@ def load_policy(doc: Mapping) -> PolicyStore:
         relations[name] = category
 
     formulas: hl.FormulaLibrary = {}
-    declared: set[str] = set()
-    for entry in _entries(doc, "formulas"):
-        fid = str_field(entry, "id", "formulas")
-        text = str_field(entry, "text", "formulas")
-        fvars = str_list(entry, "vars", f"formulas[{fid}]")
-        if fid in declared:
-            issues.append(Diagnostic("duplicate-formula", fid, "formula id declared twice"))
-            continue
-        declared.add(fid)
+    for fid, (text, fvars) in _first_declarations(
+            doc, "formulas", "id", lambda e: (str_field(e, "text", "formulas"),
+                                              str_list(e, "vars", f"formulas[{e['id']}]")),
+            "duplicate-formula", "formula id declared twice", issues):
         try:
             formulas[fid] = hl.parse(text, fvars)
         except RebacError as exc:
             issues.append(Diagnostic("invalid-formula", fid, str(exc)))
 
-    matching: dict[str, str] = {}
-    for entry in _entries(doc, "matching_rules"):
-        principal = str_field(entry, "principal", "matching_rules")
-        fid = str_field(entry, "formula_id", "matching_rules")
-        if principal in matching:
-            issues.append(Diagnostic("duplicate-principal", principal,
-                                     "more than one principal matching rule"))
-            continue
-        matching[principal] = fid
-
-    authorization: dict[str, frozenset[str]] = {}
-    for entry in _entries(doc, "authorization_rules"):
-        principal = str_field(entry, "principal", "authorization_rules")
-        privileges = frozenset(str_list(entry, "privileges", "authorization_rules"))
-        if principal in authorization:
-            issues.append(Diagnostic("duplicate-principal", principal,
-                                     "more than one authorization rule"))
-            continue
-        authorization[principal] = privileges
+    matching = dict(_first_declarations(
+        doc, "matching_rules", "principal", lambda e: str_field(e, "formula_id", "matching_rules"),
+        "duplicate-principal", "more than one principal matching rule", issues))
+    authorization = dict(_first_declarations(
+        doc, "authorization_rules", "principal",
+        lambda e: frozenset(str_list(e, "privileges", "authorization_rules")),
+        "duplicate-principal", "more than one authorization rule", issues))
 
     rbac_doc = doc.get("rbac", {})
     if not isinstance(rbac_doc, Mapping):
         raise PolicyError("'rbac' must be an object")
-    privilege_assignment: dict[str, frozenset[str]] = {}
-    for entry in _entries(rbac_doc, "roles"):
-        role = str_field(entry, "name", "rbac.roles")
-        privilege_assignment[role] = frozenset(str_list(entry, "privileges", "rbac.roles"))
-    user_assignment: dict[str, frozenset[str]] = {}
-    for entry in _entries(rbac_doc, "user_roles"):
-        user = str_field(entry, "user", "rbac.user_roles")
-        user_assignment[user] = frozenset(str_list(entry, "roles", "rbac.user_roles"))
+    privilege_assignment = dict(_first_declarations(
+        rbac_doc, "roles", "name", lambda e: frozenset(str_list(e, "privileges", "rbac.roles")),
+        "duplicate-role", "role declared twice", issues, "rbac.roles"))
+    user_assignment = dict(_first_declarations(
+        rbac_doc, "user_roles", "user",
+        lambda e: frozenset(str_list(e, "roles", "rbac.user_roles")),
+        "duplicate-user", "user declared twice", issues, "rbac.user_roles"))
     tables = RbacTables(frozenset(privilege_assignment), privilege_assignment, user_assignment)
 
     actions: dict[str, AdminActionDecl] = {}
-    for entry in _entries(doc, "admin_actions"):
-        aid = str_field(entry, "id", "admin_actions")
-        if aid in actions:
-            issues.append(Diagnostic("duplicate-action", aid, "action id declared twice"))
-            continue
+    # a repeated action is skipped before its other fields are read
+    for aid, entry in _first_declarations(doc, "admin_actions", "id", lambda e: e,
+                                          "duplicate-action", "action id declared twice", issues):
         where = f"admin_actions[{aid}].effects"
         effects = []
         for i, eff in enumerate(_entries(entry, "effects", where)):

@@ -121,8 +121,8 @@ class SynthConfig:
     graph_source: GraphSource = GeneratedGraph()
 
     def __post_init__(self):
-        if self.scale <= 0:
-            raise ValueError("scale must be positive")
+        if not 0 < self.scale < float("inf"):
+            raise ValueError("scale must be positive and finite")
 
 
 def scaled(base: int, scale: float) -> int:

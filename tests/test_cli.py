@@ -189,7 +189,8 @@ class TestSynthAndBench:
 MALFORMED = ["fmt-invalid-json", "fmt-formulas-not-a-list", "graph-not-utf8",
              "policy-not-utf8", "synth-scale-zero", "serve-bad-listen",
              "check-guard-not-json", "synth-nodes-zero", "fmt-entry-not-an-object",
-             "fmt-entry-without-id", "admin-bind-primary"]
+             "fmt-entry-without-id", "admin-bind-primary", "synth-scale-inf",
+             "serve-port-out-of-range"]
 
 
 @pytest.mark.parametrize("case", MALFORMED)
@@ -212,6 +213,10 @@ def test_malformed_input_is_an_error_not_a_traceback(fixture_dir, capsys, case):
         "synth-scale-zero": ["synth", "--seed", "1", "--scale", "0",
                              "--out", str(fixture_dir / "out")],
         "serve-bad-listen": ["serve", *system_args(fixture_dir), "--listen", "nope"],
+        "synth-scale-inf": ["synth", "--seed", "1", "--scale", "inf",
+                            "--out", str(fixture_dir / "out")],
+        "serve-port-out-of-range": ["serve", *system_args(fixture_dir),
+                                    "--listen", "127.0.0.1:99999"],
         "check-guard-not-json": ["check", *system_args(fixture_dir), *request[:4],
                                  "--guard", "not json"],
         "admin-bind-primary": ["admin", "exec", *system_args(fixture_dir),

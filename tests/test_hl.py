@@ -66,7 +66,9 @@ class TestParse:
     @pytest.mark.parametrize("vars, body", [
         (("x",), At("y", Const(True))),
         (("x", "x"), Const(True)),
-    ], ids=["undeclared", "duplicate"])
+        (("x", "true"), At("x", Var("true"))),
+        (("false",), Const(True)),
+    ], ids=["undeclared", "duplicate", "named-true", "named-false"])
     def test_construction_checks_declared_variables(self, vars, body):
         with pytest.raises(UnknownVariable):
             Formula(vars, body)

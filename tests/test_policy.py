@@ -1,4 +1,5 @@
 import copy
+import dataclasses
 import json
 
 import pytest
@@ -127,6 +128,19 @@ class TestLoadAndValidate:
             "authorization_rules": [{"principal": "ap", "privileges": []}],
         })
         assert "duplicate-principal" in [d.code for d in validate(store)]
+
+    def test_repeated_role_and_user_keep_the_first_declaration(self):
+        store = load_policy({"rbac": {
+            "roles": [{"name": "r", "privileges": ["a"]}, {"name": "r", "privileges": ["b"]}],
+            "user_roles": [{"user": "u", "roles": ["r"]}, {"user": "u", "roles": []}]}})
+        assert [d.code for d in validate(store)] == ["duplicate-role", "duplicate-user"]
+        assert store.rbac.privilege_assignment == {"r": frozenset({"a"})}
+        assert store.rbac.user_assignment == {"u": frozenset({"r"})}
+
+    def test_store_is_frozen(self):
+        store = load_policy(copy.deepcopy(REFERRAL_POLICY))
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            store.formulas = {}
 
     def test_unparseable_formula_is_diagnosed(self):
         store = load_policy({"formulas": [{"id": "f", "vars": ["x"], "text": "<r> x"}]})

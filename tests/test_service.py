@@ -6,8 +6,11 @@ import threading
 import time
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from rebac.engine import AccessRequest, EngineConfig, check
+from rebac.errors import RebacError
 from rebac.policy import guard_from_json
 from rebac.service import MAX_LINE_BYTES, PdpServer
 
@@ -222,6 +225,69 @@ class TestProtocol:
                 for u in users
             ]
             assert got == expected
+
+
+def _subclass_codes(cls: type) -> set[str]:
+    codes: set[str] = set()
+    for sub in cls.__subclasses__():
+        codes |= {sub.code} | _subclass_codes(sub)
+    return codes
+
+
+_json_values = st.recursive(
+    st.none() | st.booleans() | st.integers(-3, 3)
+    | st.floats(allow_nan=False, allow_infinity=False) | st.text(max_size=4),
+    lambda inner: st.lists(inner, max_size=3) | st.dictionaries(st.text(max_size=4), inner,
+                                                                 max_size=3),
+    max_leaves=6)
+_resources = st.sampled_from(["rec1", "p1", "p2", "ghost"])
+_users = st.sampled_from(["d1", "s1", "p1", "ghost"])
+_plausible_operands = {
+    "op": st.sampled_from(["check", "filter", "match", "admin.enabled", "admin.exec", "nop"]),
+    "resource": _resources,
+    "user": _users,
+    "patient": _users,
+    "action": st.sampled_from(["Referral", "ghost"]),
+    "guard": st.fixed_dictionaries({
+        "kind": st.sampled_from(["one-of", "all-of", "none-of"]),
+        "privileges": st.lists(st.sampled_from(["view-record", "edit"]), max_size=2)}),
+    "resources": st.lists(_resources, max_size=3),
+    "bindings": st.dictionaries(st.sampled_from(["specialist", "user", "nurse"]), _users,
+                                max_size=2),
+}
+
+
+@st.composite
+def _requests(draw) -> dict:
+    """Every operand of plausible shape, then up to two dropped or set to
+    an arbitrary value."""
+    request = draw(st.fixed_dictionaries(_plausible_operands))
+    for key in draw(st.sets(st.sampled_from(sorted(request)), max_size=2)):
+        if draw(st.booleans()):
+            del request[key]
+        else:
+            request[key] = draw(_json_values)
+    return request
+
+
+_lines = (_requests().map(lambda request: json.dumps(request).encode())
+          | st.binary(max_size=40).filter(lambda b: b"\n" not in b and b.strip()))
+
+
+def test_fuzzed_lines_get_one_structured_reply_each(server):
+    codes = _subclass_codes(RebacError) - {"internal", "bad_request"}
+    with client_for(server) as c:
+        @settings(max_examples=300, deadline=None)
+        @given(line=_lines)
+        def probe(line):
+            reply = c.call_raw(line)
+            assert isinstance(reply, dict) and "latency_us" in reply
+            assert ("result" in reply) != ("error" in reply)
+            assert reply["ok"] is ("result" in reply)
+            if not reply["ok"]:
+                assert reply["error"]["code"] in codes
+
+        probe()
 
 
 def test_stop_returns_promptly():
