@@ -8,12 +8,13 @@ Two grant semantics exist:
   satisfy the guard;
 * strict -- some single enabled principal must satisfy the guard alone.
 
-One loop serves both semantics and both matching strategies.  It visits
-principals in lexicographic id order, memoizes predicate evaluations by
-formula id, and pools the grants of each enabled principal.  Eager
-matching runs the loop to the end and records the enabled set; lazy
-matching adds only a skip test for principals whose privileges cannot
-contribute and an early exit as soon as the request is allowed.
+One loop serves both semantics and both matching strategies.  It walks
+the store's principal groups (the principals sharing a formula, grouped
+once when the store is built), evaluates each group's formula at most
+once, and pools the grants of each enabled principal.  Eager matching runs
+to the end and records the enabled set.  Lazy matching skips principals
+whose privileges cannot contribute, allows as soon as the guard is met,
+and denies once the grants of the groups left cannot meet it.
 
 Strategies never change the decision, only the work done; the trace on
 each Decision records that work.  The fixed visiting order keeps traces
@@ -31,9 +32,9 @@ from dataclasses import dataclass, field
 from typing import Iterable
 
 from . import hl
-from .errors import EvaluationError, RebacError, UnknownVertex
+from .errors import EvaluationError, RebacError
 from .graph import AuthorizationGraph
-from .policy import Guard, PolicyStore, satisfies
+from .policy import ALL_OF, Guard, PolicyStore, satisfies
 from .rbac import RbacTables, rbac_privileges
 
 SEMANTICS = ("liberal", "strict")
@@ -99,44 +100,47 @@ def _match(store: PolicyStore, graph: AuthorizationGraph, resource: str, user: s
     (liberal) or the enabled principal's own grants (strict) satisfy the
     guard; with ``guard=None`` an eager pass only collects the enabled set.
     The caller holds the graph's read section."""
-    memo: dict[str, bool] = {}
     evaluations = hits = considered = 0
     enabled: list[str] = []
     pooled: set[str] = set()
     # lazy liberal skips a principal that grants none of the missing privileges
     missing = set(guard.privileges) if guard is not None else set()
+    need = guard.privileges if strict else missing  # what the grants ahead must meet
+    all_of = guard is not None and guard.kind == ALL_OF
     allow = False
-    for ap in sorted(store.matching_rules):
-        considered += 1
-        grants = store.authorization_rules.get(ap, frozenset())
-        if lazy and not (satisfies(grants, guard) if strict
-                         else not missing.isdisjoint(grants)):
-            continue
-        fid = store.matching_rules[ap]
-        # Under lazy strict a memo hit is always False: a true
-        # predicate would already have allowed the request.
-        if fid in memo:
-            hits += 1
-        else:
-            formula = store.formulas.get(fid)
-            if formula is None:
-                raise EvaluationError(ap, KeyError(f"unknown formula {fid!r}"))
-            try:
-                memo[fid] = hl.relationship_predicate(formula, graph, resource, user)
-            except RebacError as exc:
-                raise EvaluationError(ap, exc) from exc
-            evaluations += 1
-        if not memo[fid]:
-            continue
-        enabled.append(ap)
-        if guard is None:
-            continue
-        pooled |= grants
-        missing -= grants
-        if satisfies(grants if strict else pooled, guard):
-            allow = True
-            if lazy:
-                break
+    for fid, members, ahead in store.principal_groups:
+        if lazy and (not need <= ahead if all_of else need.isdisjoint(ahead)):
+            break  # no principal in this or a later group can meet the guard: deny
+        holds = None
+        for ap, grants in members:
+            considered += 1
+            if lazy and not (satisfies(grants, guard) if strict
+                             else not missing.isdisjoint(grants)):
+                continue
+            # Under lazy strict a reused result is always False: a true
+            # predicate would already have allowed the request.
+            if holds is not None:
+                hits += 1
+            else:
+                formula = store.formulas.get(fid)
+                if formula is None:
+                    raise EvaluationError(ap, KeyError(f"unknown formula {fid!r}"))
+                try:
+                    holds = hl.relationship_predicate(formula, graph, resource, user)
+                except RebacError as exc:
+                    raise EvaluationError(ap, exc) from exc
+                evaluations += 1
+            if not holds:
+                continue
+            enabled.append(ap)
+            if guard is None:
+                continue
+            pooled |= grants
+            missing -= grants
+            if satisfies(grants if strict else pooled, guard):
+                if lazy:
+                    return Decision(True, Trace(considered, evaluations, hits))
+                allow = True
     return Decision(allow, Trace(considered, evaluations, hits,
                                  None if lazy else frozenset(enabled)))
 
@@ -146,6 +150,7 @@ def enabled_principals(store: PolicyStore, graph: AuthorizationGraph,
     """Exactly the principals whose relationship predicate holds for
     (resource, user); each distinct formula is evaluated at most once."""
     with graph.read():
+        graph._require_vertices(resource, user)
         return set(_match(store, graph, resource, user, None, lazy=False,
                           strict=False).trace.enabled_principals)
 
@@ -159,9 +164,7 @@ def check(store: PolicyStore, graph: AuthorizationGraph, tables: RbacTables,
     """
     start = time.perf_counter()
     with graph.read():
-        for v in (req.resource, req.user):
-            if not graph.has_vertex(v):
-                raise UnknownVertex(v)
+        graph._require_vertices(req.resource, req.user)
         if cfg.mode == "rbac-only":
             decision = Decision(satisfies(rbac_privileges(tables, req.user), req.guard))
         elif cfg.mode == "both" and not satisfies(rbac_privileges(tables, req.user),

@@ -10,9 +10,10 @@ one of three categories:
 * ``access-control`` -- pure protection state, changed only through
   administrative actions and the administrative edit operations.
 
-Edges of all three categories live in one index, keyed in both
-directions, so ``out_neighbors``, ``in_neighbors`` and ``has_edge`` are
-dictionary lookups.
+Edges of all three categories live in one index, kept in both directions
+and keyed by relation, then vertex (``_fwd[rel][v]``, ``_rev[rel][v]``),
+so ``out_neighbors``, ``in_neighbors`` and ``has_edge`` are dictionary
+lookups and no key is a tuple.
 
 Concurrency: one reentrant mutex; readers take it in turn.  Every
 mutation must run inside ``with graph.write(): ...``, which holds the
@@ -60,13 +61,13 @@ _EMPTY: frozenset[str] = frozenset()
 class AuthorizationGraph:
     """Protection state: typed vertices, categorized relations and one
     edge index over every category, keyed forward and reverse by
-    (vertex, relation)."""
+    relation, then vertex."""
 
     def __init__(self):
         self._vertices: dict[str, str] = {}
         self._relations: dict[str, str] = {}
-        self._fwd: dict[tuple[str, str], set[str]] = {}
-        self._rev: dict[tuple[str, str], set[str]] = {}
+        self._fwd: dict[str, dict[str, set[str]]] = {}
+        self._rev: dict[str, dict[str, set[str]]] = {}
         self._lock = threading.RLock()
         self._writer: int | None = None
 
@@ -122,6 +123,8 @@ class AuthorizationGraph:
         if name in self._relations:
             raise DuplicateRelation(name)
         self._relations[name] = category
+        self._fwd[name] = {}
+        self._rev[name] = {}
 
     def ensure_relation(self, name: str, category: str) -> None:
         """Idempotent declare; conflicting category is an error."""
@@ -152,11 +155,11 @@ class AuthorizationGraph:
             raise UnknownRelation(rel)
 
     def _out(self, v: str, rel: str):
-        """No-copy neighbor set; caller must hold a read section."""
-        return self._fwd.get((v, rel), _EMPTY)
+        """No-copy neighbor set; rel is declared, caller holds a read section."""
+        return self._fwd[rel].get(v, _EMPTY)
 
     def _in(self, v: str, rel: str):
-        return self._rev.get((v, rel), _EMPTY)
+        return self._rev[rel].get(v, _EMPTY)
 
     def out_neighbors(self, v: str, rel: str) -> set[str]:
         with self.read():
@@ -174,9 +177,10 @@ class AuthorizationGraph:
             return d in self._out(s, rel)
 
     def _edges(self) -> Iterator[Edge]:
-        for (src, rel), dsts in self._fwd.items():
-            for dst in dsts:
-                yield (src, rel, dst)
+        for rel, successors in self._fwd.items():
+            for src, dsts in successors.items():
+                for dst in dsts:
+                    yield (src, rel, dst)
 
     def edge_set(self) -> frozenset[Edge]:
         """Every edge currently observable, in every relation category."""
@@ -197,8 +201,8 @@ class AuthorizationGraph:
         self._require_vertices(s, d)
 
     def _link(self, s: str, rel: str, d: str) -> None:
-        self._fwd.setdefault((s, rel), set()).add(d)
-        self._rev.setdefault((d, rel), set()).add(s)
+        self._fwd[rel].setdefault(s, set()).add(d)
+        self._rev[rel].setdefault(d, set()).add(s)
 
     def add_edge(self, s: str, rel: str, d: str) -> None:
         self._require_edge_update(s, rel, d)
@@ -210,10 +214,10 @@ class AuthorizationGraph:
         self._require_edge_update(s, rel, d)
         if d not in self._out(s, rel):
             raise DeleteMissingEdge(f"edge ({s}, {rel}, {d}) not present")
-        for index, key, v in ((self._fwd, (s, rel), d), (self._rev, (d, rel), s)):
-            index[key].remove(v)
-            if not index[key]:  # drop the key with its last neighbor
-                del index[key]
+        for index, v, n in ((self._fwd[rel], s, d), (self._rev[rel], d, s)):
+            index[v].remove(n)
+            if not index[v]:  # drop the vertex key with its last neighbor
+                del index[v]
 
     def add_owners(self, owners: Mapping[str, Iterable[str]]) -> None:
         """Load a resource->owners table as system-induced ``owner`` edges.

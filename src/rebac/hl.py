@@ -20,15 +20,16 @@ top level of a formula must be a Boolean combination of ``@x``-rooted
 subtrees (the anchored restriction), which makes evaluation independent
 of any initial world.
 
-A ``Formula`` validates itself once, when it is constructed, and is
-immutable after; ``evaluate`` is pure given a stable graph snapshot and
-is safe for concurrent use.
+A ``Formula`` validates itself and compiles its body into closures over a
+valuation tuple once, when it is constructed, and is immutable after.
+``evaluate`` and ``relationship_predicate`` run the compiled form, which is
+pure given a stable graph snapshot and safe for concurrent use.
 """
 
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Callable, Mapping, Union
 
 from .errors import ArityMismatch, NotAnchored, ParseError, UnknownVariable
@@ -79,14 +80,19 @@ class At:
 
 @dataclass(frozen=True)
 class Formula:
-    """AST plus its declared free variables, in order; construction runs
-    ``validate``, so every Formula is anchored and uses only its vars."""
+    """AST plus its declared free variables, in order.  Construction runs
+    ``validate``, so every Formula is anchored and uses only its vars, and
+    then compiles the body once into ``holds``, the form every evaluation
+    runs."""
 
     vars: tuple[str, ...]
     body: Node
+    holds: Compiled = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         validate(self)
+        slot = {v: i for i, v in enumerate(self.vars)}
+        object.__setattr__(self, "holds", _compile(self.body, slot))
 
     @property
     def arity(self) -> int:
@@ -134,7 +140,7 @@ _TOKEN = re.compile(rf"\s*(?:({IDENT.pattern})|([@<>\-!&|()]))")
 # Deepest nesting the parser accepts, counting unary operators, parentheses
 # and the links of `|` and `&` chains (one tree level each), so no parsed
 # tree is deeper.  Corpus formulas nest about six levels; the cap keeps the
-# recursive parser, validator and evaluator inside Python's recursion limit.
+# recursive parser, validator, compiler and compiled closures inside Python's recursion limit.
 MAX_NESTING = 100
 
 
@@ -292,6 +298,44 @@ def unparse(formula: Formula) -> str:
 
 # --- evaluation ---
 
+# (graph, vertices bound to Formula.vars in order, world) -> holds
+Compiled = Callable[[AuthorizationGraph, tuple[str, ...], Union[str, None]], bool]
+
+
+def _compile(node: Node, slot: Mapping[str, int]) -> Compiled:
+    """Nested closures for ``node``, variable names resolved to valuation
+    positions once, here.  A diamond still checks its world and relation
+    (``_check_query``) before each lookup, so errors surface as it runs."""
+    if isinstance(node, Const):
+        value = node.value
+        return lambda g, val, w: value
+    if isinstance(node, Var):
+        i = slot[node.name]
+        return lambda g, val, w: w == val[i]
+    if isinstance(node, At):
+        i, sub = slot[node.var], _compile(node.sub, slot)
+        return lambda g, val, w: sub(g, val, val[i])
+    if isinstance(node, Not):
+        sub = _compile(node.sub, slot)
+        return lambda g, val, w: not sub(g, val, w)
+    if isinstance(node, (And, Or)):
+        left, right = _compile(node.left, slot), _compile(node.right, slot)
+        if isinstance(node, And):
+            return lambda g, val, w: left(g, val, w) and right(g, val, w)
+        return lambda g, val, w: left(g, val, w) or right(g, val, w)
+    rel, inverse = node.rel, node.inverse
+    if isinstance(node.sub, Var):  # <r> x: one membership test
+        i = slot[node.sub.name]
+        def diamond(g, val, w):
+            g._check_query(w, rel)
+            return val[i] in (g._in(w, rel) if inverse else g._out(w, rel))
+        return diamond
+    sub = _compile(node.sub, slot)
+    def diamond(g, val, w):
+        g._check_query(w, rel)
+        return any(sub(g, val, v) for v in (g._in(w, rel) if inverse else g._out(w, rel)))
+    return diamond
+
 
 def evaluate(formula: Formula, g: AuthorizationGraph, valuation: Valuation) -> bool:
     """Local model check of a formula under a total valuation."""
@@ -299,29 +343,7 @@ def evaluate(formula: Formula, g: AuthorizationGraph, valuation: Valuation) -> b
         if v not in valuation:
             raise UnknownVariable(f"valuation missing {v!r}")
     with g.read():
-        return _eval(formula.body, g, valuation, None)
-
-
-def _eval(node: Node, g: AuthorizationGraph, val: Valuation, world: str | None) -> bool:
-    if isinstance(node, Const):
-        return node.value
-    if isinstance(node, Var):
-        return world == val[node.name]
-    if isinstance(node, Not):
-        return not _eval(node.sub, g, val, world)
-    if isinstance(node, And):
-        return _eval(node.left, g, val, world) and _eval(node.right, g, val, world)
-    if isinstance(node, Or):
-        return _eval(node.left, g, val, world) or _eval(node.right, g, val, world)
-    if isinstance(node, At):
-        return _eval(node.sub, g, val, val[node.var])
-    # Diamond
-    g._check_query(world, node.rel)
-    neighbors = g._in(world, node.rel) if node.inverse else g._out(world, node.rel)
-    sub = node.sub
-    if isinstance(sub, Var):
-        return val[sub.name] in neighbors
-    return any(_eval(sub, g, val, w) for w in neighbors)
+        return formula.holds(g, tuple(valuation[v] for v in formula.vars), None)
 
 
 def relationship_predicate(formula: Formula, g: AuthorizationGraph,
@@ -329,4 +351,5 @@ def relationship_predicate(formula: Formula, g: AuthorizationGraph,
     """Evaluate an arity-2 predicate, binding (resource, requestor) by position."""
     if formula.arity != 2:
         raise ArityMismatch(f"relationship predicate needs 2 variables, got {formula.arity}")
-    return evaluate(formula, g, {formula.vars[0]: resource, formula.vars[1]: requestor})
+    with g.read():
+        return formula.holds(g, (resource, requestor), None)

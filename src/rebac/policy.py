@@ -25,14 +25,15 @@ The whole policy lives in one JSON document::
 ``load_policy`` builds the store and records recoverable problems;
 ``validate`` returns the full diagnostics list, empty iff the store is
 sound; ``policy_document`` writes it back.  The store is immutable after
-load.  ``str_field`` and ``str_list`` check every JSON field that enters.
+load and groups its principals by formula once, when it is built.
+``str_field`` and ``str_list`` check every JSON field that enters.
 """
 
 from __future__ import annotations
 
 import json
 from dataclasses import dataclass, field
-from typing import AbstractSet, Any, Callable, Iterable, Iterator, Mapping
+from typing import AbstractSet, Any, Callable, Iterable, Iterator, Mapping, NamedTuple
 
 from . import hl
 from .errors import PolicyError, RebacError
@@ -120,6 +121,15 @@ class Diagnostic:
         return f"[{self.code}] {self.subject}: {self.message}"
 
 
+class PrincipalGroup(NamedTuple):
+    """The principals that share one matching formula, as ``(id, grants)``
+    in id order, and the union of the grants of this and every later group."""
+
+    formula_id: str
+    members: tuple[tuple[str, frozenset[str]], ...]
+    ahead: frozenset[str]
+
+
 @dataclass(frozen=True)
 class PolicyStore:
     relations: dict[str, str] = field(default_factory=dict)
@@ -130,6 +140,18 @@ class PolicyStore:
     admin_actions: dict[str, AdminActionDecl] = field(default_factory=dict)
     owners: dict[str, tuple[str, ...]] = field(default_factory=dict)
     load_issues: list[Diagnostic] = field(default_factory=list)
+    principal_groups: tuple[PrincipalGroup, ...] = field(init=False, repr=False, compare=False)
+
+    def __post_init__(self):
+        # group by formula id; groups in the id order of their first member
+        members: dict[str, list[tuple[str, frozenset[str]]]] = {}
+        for ap, fid in sorted(self.matching_rules.items()):
+            members.setdefault(fid, []).append((ap, self.authorization_rules.get(ap, frozenset())))
+        groups, ahead = [], frozenset()
+        for fid, group in reversed(members.items()):
+            ahead = ahead.union(*(grants for _, grants in group))
+            groups.append(PrincipalGroup(fid, tuple(group), ahead))
+        object.__setattr__(self, "principal_groups", tuple(reversed(groups)))
 
 
 def _entries(doc: Mapping, key: str, where: str = "") -> Iterable[Mapping]:

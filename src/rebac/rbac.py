@@ -27,8 +27,7 @@ def rbac_privileges(tables: RbacTables, user: str) -> frozenset[str]:
 
     Unknown users and unassigned roles contribute nothing.
     """
-    granted: set[str] = set()
-    for role in tables.user_assignment.get(user, frozenset()):
-        granted |= tables.privilege_assignment.get(role, frozenset())
-    return frozenset(granted)
+    assigned = tables.privilege_assignment
+    return frozenset().union(*[assigned.get(role, frozenset())
+                               for role in tables.user_assignment.get(user, ())])
 

@@ -14,10 +14,10 @@ from rebac.engine import (
 )
 from rebac.errors import EvaluationError, UnknownVertex
 from rebac.graph import ACCESS_CONTROL, AuthorizationGraph
-from rebac.policy import Guard, PolicyStore, load_policy
+from rebac.policy import Guard, PolicyStore, load_policy, satisfies
 from rebac.rbac import RbacTables, empty_tables
 
-from .helpers import random_formula, random_graph, rebac_decision
+from .helpers import brute_force_evaluate, random_formula, random_graph, rebac_decision
 
 REBAC_ONLY = [(strategy, semantics) for strategy in STRATEGIES for semantics in SEMANTICS]
 
@@ -86,6 +86,12 @@ class TestEnabledPrincipals:
     def test_empty_policy(self):
         g, _ = treating_clinician_system()
         assert enabled_principals(PolicyStore(), g, "rec", "d") == set()
+
+    def test_unknown_vertices_rejected_as_check_does(self):
+        g, store = treating_clinician_system()
+        for resource, user in (("rec", "ghost"), ("ghost-rec", "d")):
+            with pytest.raises(UnknownVertex):
+                enabled_principals(store, g, resource, user)
 
     def test_shared_formula_evaluated_once(self):
         store = const_store({"a": (True, frozenset({"p1"})),
@@ -168,6 +174,23 @@ class TestLaziness:
         eager = rebac_decision(store, g, req, "eager", "liberal")
         assert eager.trace.principals_considered == 5
 
+    def test_early_deny_once_no_principal_left_can_grant(self):
+        # only ap1's group can grant p1, and its formula is false
+        store = const_store({"ap1": (False, frozenset({"p1", "p2"})),
+                             "ap2": (True, frozenset({"p3"})),
+                             "ap3": (True, frozenset({"p4"}))})
+        g = one_vertex_graph()
+        for guard in (Guard.one_of("p1"), Guard.all_of("p1", "p2")):
+            req = AccessRequest("r", "u", guard)
+            for semantics in SEMANTICS:
+                lazy = rebac_decision(store, g, req, "lazy", semantics)
+                assert lazy.allow is False
+                assert lazy.trace.principals_considered < 3
+                assert lazy.trace.formulas_evaluated == 1
+                eager = rebac_decision(store, g, req, "eager", semantics)
+                assert eager.allow is False
+                assert eager.trace.principals_considered == 3
+
     def test_lazy_strict_reuses_false_evaluations(self):
         store = const_store({"ap1": (False, frozenset({"p1"})),
                              "ap2": (False, frozenset({"p1"}))})
@@ -221,6 +244,23 @@ class TestRandomizedEquivalence:
             # one-of guards: the two semantics agree
             if req.guard.kind == "one-of":
                 assert eager_lib.allow == eager_str.allow
+
+    def test_decisions_equal_the_definition(self):
+        for store, g, req in self.run_cases(400, seed=2024):
+            grants = store.authorization_rules
+            enabled = set()
+            for ap, fid in store.matching_rules.items():
+                formula = store.formulas[fid]
+                valuation = dict(zip(formula.vars, (req.resource, req.user)))
+                if brute_force_evaluate(formula, g, valuation):
+                    enabled.add(ap)
+            liberal = satisfies(frozenset().union(*(grants[ap] for ap in enabled)), req.guard)
+            strict = any(satisfies(grants[ap], req.guard) for ap in enabled)
+            for strategy, semantics in REBAC_ONLY:
+                d = rebac_decision(store, g, req, strategy, semantics)
+                assert d.allow == (strict if semantics == "strict" else liberal)
+                if strategy == "eager":
+                    assert d.trace.enabled_principals == enabled
 
     def test_determinism(self):
         for store, g, req in self.run_cases(40, seed=77):

@@ -171,8 +171,8 @@ class TestMutation:
 
     def test_add_then_delete_leaves_no_empty_neighbor_sets(self):
         g = tiny_graph()
-        fwd = {key: set(v) for key, v in g._fwd.items()}
-        rev = {key: set(v) for key, v in g._rev.items()}
+        fwd = {rel: {v: set(n) for v, n in adj.items()} for rel, adj in g._fwd.items()}
+        rev = {rel: {v: set(n) for v, n in adj.items()} for rel, adj in g._rev.items()}
         with g.write():
             g.add_edge("d1", "referrer", "d2")
             g.del_edge("d1", "referrer", "d2")
@@ -373,9 +373,11 @@ class TestEdgeListFormat:
         relation = {r: r for r in g._relations}
         assert len(g.edge_set()) == 3
         for index in (g._fwd, g._rev):
-            for (v, rel), neighbors in index.items():
-                assert v is vertex[v] and rel is relation[rel]
-                assert all(n is vertex[n] for n in neighbors)
+            for rel, adjacency in index.items():
+                assert rel is relation[rel]
+                for v, neighbors in adjacency.items():
+                    assert v is vertex[v]
+                    assert all(n is vertex[n] for n in neighbors)
 
     def test_duplicate_edge_rejected(self):
         text = "R gp user-managed\nV p patient\nV d user\nE p gp d\nE p gp d\n"

@@ -187,6 +187,13 @@ class TestProtocol:
             assert reply["ok"] is False
             assert reply["error"]["code"] == "unknown_vertex"
 
+    def test_match_unknown_vertex_error_code(self, server):
+        with client_for(server) as c:
+            for resource, user in (("rec1", "ghost"), ("ghost", "d1")):
+                reply = c.call({"op": "match", "resource": resource, "user": user})
+                assert reply["ok"] is False
+                assert reply["error"]["code"] == "unknown_vertex"
+
     def test_missing_field(self, server):
         with client_for(server) as c:
             reply = c.call({"op": "check", "resource": "rec1", "guard": GUARD})
