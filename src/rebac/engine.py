@@ -150,7 +150,7 @@ def enabled_principals(store: PolicyStore, graph: AuthorizationGraph,
     """Exactly the principals whose relationship predicate holds for
     (resource, user); each distinct formula is evaluated at most once."""
     with graph.read():
-        graph._require_vertices(resource, user)
+        graph._check_query((resource, user))
         return set(_match(store, graph, resource, user, None, lazy=False,
                           strict=False).trace.enabled_principals)
 
@@ -164,7 +164,7 @@ def check(store: PolicyStore, graph: AuthorizationGraph, tables: RbacTables,
     """
     start = time.perf_counter()
     with graph.read():
-        graph._require_vertices(req.resource, req.user)
+        graph._check_query((req.resource, req.user))
         if cfg.mode == "rbac-only":
             decision = Decision(satisfies(rbac_privileges(tables, req.user), req.guard))
         elif cfg.mode == "both" and not satisfies(rbac_privileges(tables, req.user),

@@ -36,7 +36,7 @@ class ReadOnlyRelation(RebacError):
 
 
 class TransactionRequired(RebacError):
-    """A mutation was attempted outside an exclusive write transaction."""
+    """A mutation outside a write transaction, or a query outside any section."""
 
     code = "transaction_required"
 

@@ -18,7 +18,9 @@ lookups and no key is a tuple.
 Concurrency: one reentrant mutex; readers take it in turn.  Every
 mutation must run inside ``with graph.write(): ...``, which holds the
 same mutex, so a read section sees the state before or after a write
-transaction, never a torn intermediate.
+transaction, never a torn intermediate.  An operation opens one section:
+``engine.check`` and ``enabled_principals`` a read, administrative actions
+a read or a write; the formula evaluation they run (``hl``) opens none.
 """
 
 from __future__ import annotations
@@ -30,7 +32,7 @@ import secrets
 import stat
 import threading
 from contextlib import contextmanager
-from typing import Iterable, Iterator, Mapping
+from typing import AbstractSet, Iterable, Iterator, Mapping
 
 from .errors import (
     AddExistingEdge,
@@ -148,11 +150,16 @@ class AuthorizationGraph:
 
     # --- queries ---
 
-    def _check_query(self, v: str, rel: str) -> None:
-        if v not in self._vertices:
-            raise UnknownVertex(v)
-        if rel not in self._relations:
-            raise UnknownRelation(rel)
+    def _check_query(self, vertices: Iterable[str], relations: AbstractSet[str] = _EMPTY) -> None:
+        """The one query check: the calling thread holds a section, every
+        vertex exists and every relation is declared."""
+        if not self._lock._is_owned():
+            raise TransactionRequired("graph query outside a read or write section")
+        for v in vertices:
+            if v not in self._vertices:
+                raise UnknownVertex(v)
+        if not self._relations.keys() >= relations:
+            raise UnknownRelation(min(relations - self._relations.keys()))
 
     def _out(self, v: str, rel: str):
         """No-copy neighbor set; rel is declared, caller holds a read section."""
@@ -163,17 +170,17 @@ class AuthorizationGraph:
 
     def out_neighbors(self, v: str, rel: str) -> set[str]:
         with self.read():
-            self._check_query(v, rel)
+            self._check_query((v,), {rel})
             return set(self._out(v, rel))
 
     def in_neighbors(self, v: str, rel: str) -> set[str]:
         with self.read():
-            self._check_query(v, rel)
+            self._check_query((v,), {rel})
             return set(self._in(v, rel))
 
     def has_edge(self, s: str, rel: str, d: str) -> bool:
         with self.read():
-            self._check_query(s, rel)
+            self._check_query((s,), {rel})
             return d in self._out(s, rel)
 
     def _edges(self) -> Iterator[Edge]:
@@ -189,16 +196,11 @@ class AuthorizationGraph:
 
     # --- mutation ---
 
-    def _require_vertices(self, *vids: str) -> None:
-        for v in vids:
-            if v not in self._vertices:
-                raise UnknownVertex(v)
-
     def _require_edge_update(self, s: str, rel: str, d: str) -> None:
         self._require_write()
         if self.relation_category(rel) == SYSTEM_INDUCED:
             raise ReadOnlyRelation(rel)
-        self._require_vertices(s, d)
+        self._check_query((s, d))
 
     def _link(self, s: str, rel: str, d: str) -> None:
         self._fwd[rel].setdefault(s, set()).add(d)
@@ -229,7 +231,7 @@ class AuthorizationGraph:
         self.ensure_relation("owner", SYSTEM_INDUCED)
         for resource, owner_ids in owners.items():
             for owner in owner_ids:
-                self._require_vertices(resource, owner)
+                self._check_query((resource, owner))
                 self._link(resource, "owner", owner)
 
 

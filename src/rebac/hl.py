@@ -22,8 +22,8 @@ of any initial world.
 
 A ``Formula`` validates itself and compiles its body into closures over a
 valuation tuple once, when it is constructed, and is immutable after.
-``evaluate`` and ``relationship_predicate`` run the compiled form, which is
-pure given a stable graph snapshot and safe for concurrent use.
+``evaluate`` and ``relationship_predicate`` run the compiled form inside
+a section of the graph that the caller holds; they open none themselves.
 """
 
 from __future__ import annotations
@@ -83,16 +83,19 @@ class Formula:
     """AST plus its declared free variables, in order.  Construction runs
     ``validate``, so every Formula is anchored and uses only its vars, and
     then compiles the body once into ``holds``, the form every evaluation
-    runs."""
+    runs, collecting the relations its diamonds step along."""
 
     vars: tuple[str, ...]
     body: Node
     holds: Compiled = field(init=False, repr=False, compare=False)
+    relations: frozenset[str] = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         validate(self)
         slot = {v: i for i, v in enumerate(self.vars)}
-        object.__setattr__(self, "holds", _compile(self.body, slot))
+        relations: set[str] = set()
+        object.__setattr__(self, "holds", _compile(self.body, slot, relations))
+        object.__setattr__(self, "relations", frozenset(relations))
 
     @property
     def arity(self) -> int:
@@ -302,10 +305,11 @@ def unparse(formula: Formula) -> str:
 Compiled = Callable[[AuthorizationGraph, tuple[str, ...], Union[str, None]], bool]
 
 
-def _compile(node: Node, slot: Mapping[str, int]) -> Compiled:
+def _compile(node: Node, slot: Mapping[str, int], relations: set[str]) -> Compiled:
     """Nested closures for ``node``, variable names resolved to valuation
-    positions once, here.  A diamond still checks its world and relation
-    (``_check_query``) before each lookup, so errors surface as it runs."""
+    positions once, here; each diamond's relation is added to
+    ``relations``.  A diamond only looks up neighbours: ``_run`` checked the
+    valuation and the relations on entry, and every neighbour is a vertex."""
     if isinstance(node, Const):
         value = node.value
         return lambda g, val, w: value
@@ -313,43 +317,44 @@ def _compile(node: Node, slot: Mapping[str, int]) -> Compiled:
         i = slot[node.name]
         return lambda g, val, w: w == val[i]
     if isinstance(node, At):
-        i, sub = slot[node.var], _compile(node.sub, slot)
+        i, sub = slot[node.var], _compile(node.sub, slot, relations)
         return lambda g, val, w: sub(g, val, val[i])
     if isinstance(node, Not):
-        sub = _compile(node.sub, slot)
+        sub = _compile(node.sub, slot, relations)
         return lambda g, val, w: not sub(g, val, w)
     if isinstance(node, (And, Or)):
-        left, right = _compile(node.left, slot), _compile(node.right, slot)
+        left, right = _compile(node.left, slot, relations), _compile(node.right, slot, relations)
         if isinstance(node, And):
             return lambda g, val, w: left(g, val, w) and right(g, val, w)
         return lambda g, val, w: left(g, val, w) or right(g, val, w)
     rel, inverse = node.rel, node.inverse
+    relations.add(rel)
     if isinstance(node.sub, Var):  # <r> x: one membership test
         i = slot[node.sub.name]
-        def diamond(g, val, w):
-            g._check_query(w, rel)
-            return val[i] in (g._in(w, rel) if inverse else g._out(w, rel))
-        return diamond
-    sub = _compile(node.sub, slot)
-    def diamond(g, val, w):
-        g._check_query(w, rel)
-        return any(sub(g, val, v) for v in (g._in(w, rel) if inverse else g._out(w, rel)))
-    return diamond
+        return lambda g, val, w: val[i] in (g._in(w, rel) if inverse else g._out(w, rel))
+    sub = _compile(node.sub, slot, relations)
+    return lambda g, val, w: any(sub(g, val, v)
+                                 for v in (g._in(w, rel) if inverse else g._out(w, rel)))
+
+
+def _run(formula: Formula, g: AuthorizationGraph, vertices: tuple[str, ...]) -> bool:
+    """The one evaluation entry: check the valuation's vertices and the
+    formula's relations once, inside the caller's section, then run it."""
+    g._check_query(vertices, formula.relations)
+    return formula.holds(g, vertices, None)
 
 
 def evaluate(formula: Formula, g: AuthorizationGraph, valuation: Valuation) -> bool:
-    """Local model check of a formula under a total valuation."""
+    """Local model check under a total valuation, in the caller's section."""
     for v in formula.vars:
         if v not in valuation:
             raise UnknownVariable(f"valuation missing {v!r}")
-    with g.read():
-        return formula.holds(g, tuple(valuation[v] for v in formula.vars), None)
+    return _run(formula, g, tuple(valuation[v] for v in formula.vars))
 
 
 def relationship_predicate(formula: Formula, g: AuthorizationGraph,
                            resource: str, requestor: str) -> bool:
-    """Evaluate an arity-2 predicate, binding (resource, requestor) by position."""
+    """Evaluate an arity-2 predicate over (resource, requestor), in the caller's section."""
     if formula.arity != 2:
         raise ArityMismatch(f"relationship predicate needs 2 variables, got {formula.arity}")
-    with g.read():
-        return formula.holds(g, (resource, requestor), None)
+    return _run(formula, g, (resource, requestor))

@@ -115,6 +115,36 @@ class TestEnabledPrincipals:
         assert "ap1" in str(exc.value)
 
 
+class TestReadSection:
+    def test_one_check_enters_the_read_section_once(self, monkeypatch):
+        g, _ = treating_clinician_system()
+        store = load_policy({
+            "formulas": [
+                {"id": f"f{i}", "vars": ["resource", "requestor"], "text": text}
+                for i, text in enumerate(("@resource <owner> <family-doctor> requestor",
+                                          "@resource <owner> <referred-clinician> requestor",
+                                          "@resource <owner> requestor"))],
+            "matching_rules": [{"principal": f"ap{i}", "formula_id": f"f{i}"}
+                               for i in range(3)],
+            "authorization_rules": [{"principal": f"ap{i}", "privileges": ["view-record"]}
+                                    for i in range(3)],
+        })
+        entered = []
+        read = AuthorizationGraph.read
+
+        def counting_read(graph):
+            entered.append(graph)
+            return read(graph)
+
+        monkeypatch.setattr(AuthorizationGraph, "read", counting_read)
+        req = AccessRequest("rec", "d", Guard.one_of("view-record"))
+        d = check(store, g, empty_tables(), req, EngineConfig(strategy="eager",
+                                                              mode="rebac-only"))
+        assert d.allow is True
+        assert d.trace.formulas_evaluated == 3
+        assert entered == [g]
+
+
 class TestGrantSemantics:
     def test_pooled_privileges_allow_only_liberal(self):
         # two enabled principals granting one privilege each, all-of guard

@@ -1,11 +1,20 @@
 import random
+import threading
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from rebac import hl
-from rebac.errors import ArityMismatch, NotAnchored, ParseError, UnknownRelation, UnknownVariable
+from rebac.errors import (
+    ArityMismatch,
+    NotAnchored,
+    ParseError,
+    TransactionRequired,
+    UnknownRelation,
+    UnknownVariable,
+    UnknownVertex,
+)
 from rebac.graph import USER_MANAGED, AuthorizationGraph
 from rebac.hl import And, At, Const, Diamond, Formula, Not, Or, Var
 
@@ -132,25 +141,28 @@ class TestEvaluate:
     def test_direct_edge_predicate(self):
         g = graph_of([("p", "gp", "d")])
         f = hl.parse("@patient <gp> requestor", ["patient", "requestor"])
-        assert hl.evaluate(f, g, {"patient": "p", "requestor": "d"}) is True
-        assert hl.evaluate(f, g, {"patient": "d", "requestor": "p"}) is False
+        with g.read():
+            assert hl.evaluate(f, g, {"patient": "p", "requestor": "d"}) is True
+            assert hl.evaluate(f, g, {"patient": "d", "requestor": "p"}) is False
 
     def test_two_step_path_with_inverse(self):
         g = graph_of([("p", "gp", "d"), ("s", "referrer", "d")])
         f = hl.parse("@patient <gp> <-referrer> requestor", ["patient", "requestor"])
-        assert hl.evaluate(f, g, {"patient": "p", "requestor": "s"}) is True
-        assert hl.evaluate(f, g, {"patient": "p", "requestor": "d"}) is False
+        with g.read():
+            assert hl.evaluate(f, g, {"patient": "p", "requestor": "s"}) is True
+            assert hl.evaluate(f, g, {"patient": "p", "requestor": "d"}) is False
 
     def test_variable_atom_holds_exactly_at_binding(self):
         g = graph_of([], vertices=["v", "w"], relations=["r"])
         f = hl.parse("@resource requestor", ["resource", "requestor"])
-        assert hl.evaluate(f, g, {"resource": "v", "requestor": "v"}) is True
-        assert hl.evaluate(f, g, {"resource": "v", "requestor": "w"}) is False
+        with g.read():
+            assert hl.evaluate(f, g, {"resource": "v", "requestor": "v"}) is True
+            assert hl.evaluate(f, g, {"resource": "v", "requestor": "w"}) is False
 
     def test_undeclared_relation_raises(self):
         g = graph_of([], vertices=["v"], relations=["r"])
         f = hl.parse("@x <mystery> x", ["x"])
-        with pytest.raises(UnknownRelation):
+        with g.read(), pytest.raises(UnknownRelation):
             hl.evaluate(f, g, {"x": "v"})
 
     def test_partial_valuation_rejected(self):
@@ -167,8 +179,9 @@ class TestEvaluate:
     def test_relationship_predicate_binds_by_position(self):
         g = graph_of([("p", "gp", "d")])
         f = hl.parse("@patient <gp> requestor", ["patient", "requestor"])
-        assert hl.relationship_predicate(f, g, "p", "d") is True
-        assert hl.relationship_predicate(f, g, "d", "p") is False
+        with g.read():
+            assert hl.relationship_predicate(f, g, "p", "d") is True
+            assert hl.relationship_predicate(f, g, "d", "p") is False
 
     def test_relationship_predicate_arity(self):
         f = hl.parse("@x x", ["x"])
@@ -178,7 +191,70 @@ class TestEvaluate:
     def test_termination_on_cycles(self):
         g = graph_of([("a", "r", "b"), ("b", "r", "a"), ("a", "r", "a")])
         f = hl.parse("@x <r> <r> <r> <r> <r> y", ["x", "y"])
-        assert hl.evaluate(f, g, {"x": "a", "y": "b"}) in (True, False)
+        with g.read():
+            assert hl.evaluate(f, g, {"x": "a", "y": "b"}) in (True, False)
+
+
+class TestEntryChecks:
+    """Evaluation runs in the caller's section and checks the valuation and
+    the formula's relations once, on entry."""
+
+    def test_evaluation_requires_the_callers_section(self):
+        g = graph_of([("p", "gp", "d")])
+        f = hl.parse("@patient <gp> requestor", ["patient", "requestor"])
+        with pytest.raises(TransactionRequired):
+            hl.evaluate(f, g, {"patient": "p", "requestor": "d"})
+        with pytest.raises(TransactionRequired):
+            hl.relationship_predicate(f, g, "p", "d")
+        for section in (g.read, g.write):
+            with section():
+                assert hl.evaluate(f, g, {"patient": "p", "requestor": "d"}) is True
+                assert hl.relationship_predicate(f, g, "d", "p") is False
+
+    def test_a_section_held_by_another_thread_does_not_count(self):
+        g = graph_of([("p", "gp", "d")])
+        f = hl.parse("@patient <gp> requestor", ["patient", "requestor"])
+        raised = []
+
+        def evaluate_in_other_thread():
+            try:
+                hl.relationship_predicate(f, g, "p", "d")
+            except TransactionRequired as exc:
+                raised.append(exc)
+
+        with g.read():
+            worker = threading.Thread(target=evaluate_in_other_thread)
+            worker.start()
+            worker.join(timeout=10)
+        assert not worker.is_alive()
+        assert len(raised) == 1
+
+    def test_undeclared_relation_behind_a_short_circuit_raises(self):
+        g = graph_of([], vertices=["v"], relations=["r"])
+        f = hl.parse("@x true | @x <nope> y", ["x", "y"])
+        with g.read(), pytest.raises(UnknownRelation):
+            hl.evaluate(f, g, {"x": "v", "y": "v"})
+
+    def test_unknown_valuation_vertex_raises_without_a_diamond(self):
+        g = graph_of([], vertices=["v"], relations=["r"])
+        f = hl.parse("@x x", ["x"])
+        with g.read(), pytest.raises(UnknownVertex):
+            hl.evaluate(f, g, {"x": "ghost"})
+
+    def test_relations_are_the_diamond_relations(self):
+        def diamond_relations(node):
+            if isinstance(node, Diamond):
+                return {node.rel} | diamond_relations(node.sub)
+            if isinstance(node, (And, Or)):
+                return diamond_relations(node.left) | diamond_relations(node.right)
+            if isinstance(node, (Not, At)):
+                return diamond_relations(node.sub)
+            return set()
+
+        rng = random.Random(61)
+        for _ in range(500):
+            f = random_formula(rng, ["r0", "r1", "r2", "r3"], depth=5)
+            assert f.relations == diamond_relations(f.body), hl.unparse(f)
 
 
 class TestOracleAgreement:
@@ -189,8 +265,9 @@ class TestOracleAgreement:
                 g, vertices, relations = random_graph(rng)
             f = random_formula(rng, relations, depth=5)
             valuation = random_valuation(rng, f.vars, vertices)
-            assert hl.evaluate(f, g, valuation) == brute_force_evaluate(g=g, formula=f, valuation=valuation), \
-                f"disagreement on {hl.unparse(f)} under {valuation}"
+            with g.read():
+                assert hl.evaluate(f, g, valuation) == brute_force_evaluate(g=g, formula=f, valuation=valuation), \
+                    f"disagreement on {hl.unparse(f)} under {valuation}"
 
     def test_double_negation_and_true_identity(self):
         rng = random.Random(31)
@@ -199,9 +276,10 @@ class TestOracleAgreement:
                 g, vertices, relations = random_graph(rng)
             f = random_formula(rng, relations, depth=4)
             valuation = random_valuation(rng, f.vars, vertices)
-            base = hl.evaluate(f, g, valuation)
-            assert hl.evaluate(Formula(f.vars, Not(Not(f.body))), g, valuation) == base
-            assert hl.evaluate(Formula(f.vars, And(f.body, Const(True))), g, valuation) == base
+            with g.read():
+                base = hl.evaluate(f, g, valuation)
+                assert hl.evaluate(Formula(f.vars, Not(Not(f.body))), g, valuation) == base
+                assert hl.evaluate(Formula(f.vars, And(f.body, Const(True))), g, valuation) == base
 
     def test_positive_fragment_monotone_under_edge_addition(self):
         rng = random.Random(53)
@@ -209,13 +287,15 @@ class TestOracleAgreement:
             g, vertices, relations = random_graph(rng, max_vertices=6, density=0.1)
             f = random_formula(rng, relations, depth=4, positive=True)
             valuation = random_valuation(rng, f.vars, vertices)
-            before = hl.evaluate(f, g, valuation)
+            with g.read():
+                before = hl.evaluate(f, g, valuation)
             s, rel, d = rng.choice(vertices), rng.choice(relations), rng.choice(vertices)
             if g.has_edge(s, rel, d):
                 continue
             with g.write():
                 g.add_edge(s, rel, d)
-            after = hl.evaluate(f, g, valuation)
+            with g.read():
+                after = hl.evaluate(f, g, valuation)
             if before:
                 assert after, f"adding ({s},{rel},{d}) flipped {hl.unparse(f)} to false"
 
@@ -266,7 +346,8 @@ def _anchored(depth):
 def test_checker_matches_satisfaction_sets(edges, body, binding):
     g = graph_of(edges, vertices=list(_VERTICES), relations=list(_RELS))
     f = Formula(_VARS, body)
-    assert hl.evaluate(f, g, binding) == brute_force_evaluate(f, g, binding)
+    with g.read():
+        assert hl.evaluate(f, g, binding) == brute_force_evaluate(f, g, binding)
 
 
 @given(body=_anchored(4))

@@ -85,3 +85,13 @@ def test_every_module_is_reachable_from_the_package_or_the_cli():
             reached.add(module)
             todo.extend(edges[module])
     assert sorted(PACKAGE.keys() - reached) == []
+
+
+def test_hl_opens_no_graph_section():
+    """Formula evaluation runs inside the section its caller holds, so an
+    operation takes the graph's lock once: hl.py calls no ``read()`` or
+    ``write()``."""
+    calls = [node.lineno for node in ast.walk(_parsed()["hl"])
+             if isinstance(node, ast.Call) and isinstance(node.func, ast.Attribute)
+             and node.func.attr in ("read", "write")]
+    assert calls == [], f"hl.py opens a graph section on lines {calls}"
